@@ -392,16 +392,16 @@ func BenchmarkParallelRegion(b *testing.B) {
 // paper's introduction draws. ---
 
 func BenchmarkConvImplementation(b *testing.B) {
-	for _, lowered := range []bool{false, true} {
-		name := "direct"
-		if lowered {
-			name = "lowered"
+	for _, direct := range []bool{true, false} {
+		name := "lowered"
+		if direct {
+			name = "direct"
 		}
 		b.Run(name, func(b *testing.B) {
 			mk := func() (layers.Layer, []*blob.Blob, []*blob.Blob) {
 				r := rng.New(10, 10)
 				l, err := layers.NewConvolution("conv2", layers.ConvConfig{
-					NumOutput: 50, Kernel: 5, Lowered: lowered,
+					NumOutput: 50, Kernel: 5, Direct: direct,
 					WeightFiller: layers.XavierFiller{}, RNG: r,
 				})
 				if err != nil {

@@ -48,7 +48,6 @@ func main() {
 		scores   = flag.String("scores", "", "score blob name (default: ip2 for lenet, ip1 for cifar)")
 		shape    = flag.String("shape", "", "per-sample input shape as C,H,W (default from -zoo)")
 		classes  = flag.Int("classes", 0, "output classes (default from -zoo)")
-		lowered  = flag.Bool("lowered", true, "use the im2col+GEMM convolution path (amortizes best across batches)")
 		seed     = flag.Uint64("seed", 1, "weight-init seed (overwritten by the snapshot; kept for reproducible builds)")
 		traceOut = flag.String("trace", "", "write a Chrome trace of batch/request spans here on shutdown")
 	)
@@ -60,7 +59,7 @@ func main() {
 		fatal(fmt.Errorf("need -model or -zoo"))
 	}
 
-	cfg, err := buildConfig(*zooName, *model, *scores, *shape, *classes, *seed, *lowered)
+	cfg, err := buildConfig(*zooName, *model, *scores, *shape, *classes, *seed)
 	if err != nil {
 		fatal(err)
 	}
@@ -129,7 +128,7 @@ func main() {
 // buildConfig assembles the serve.Config for a zoo or prototxt model.
 // The builder's batch size is corrected to MaxBatch by the replica
 // constructor, so the value passed here is irrelevant.
-func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed uint64, lowered bool) (serve.Config, error) {
+func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed uint64) (serve.Config, error) {
 	cfg := serve.Config{Classes: classes, ScoreBlob: scoreBlob}
 	switch {
 	case strings.Contains(zooName, "lenet") || strings.Contains(zooName, "mnist"):
@@ -159,7 +158,7 @@ func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed 
 	case zooName != "":
 		cfg.Model = zooName
 		cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
-			return zoo.Build(zooName, src, zoo.Options{Seed: seed, LoweredConv: lowered})
+			return zoo.Build(zooName, src, zoo.Options{Seed: seed})
 		}
 	default:
 		raw, err := os.ReadFile(model)

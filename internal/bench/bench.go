@@ -105,12 +105,11 @@ func sourceFor(o Options) layers.Source {
 }
 
 // buildNet constructs the selected benchmark network with a fresh source.
+// The paper-figure harness (Figures 4-9 and the trace capture) measures
+// the direct convolution of Algorithm 2, the kernel whose per-layer
+// extents and speedup shapes the paper's figures report.
 func buildNet(o Options, eng core.Engine) (*net.Net, error) {
-	specs, err := zoo.Build(o.Net, sourceFor(o), zoo.Options{BatchSize: o.Batch, Seed: o.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return net.New(specs, eng)
+	return buildNetVariant(o, eng, true)
 }
 
 // solverFor returns the Caffe solver configuration of the benchmark.

@@ -52,22 +52,22 @@ func EngineComparison(o Options) (*EngineComparisonResult, error) {
 	}
 	workers := maxInt(o.Threads)
 	type cfg struct {
-		name    string
-		engine  func() core.Engine
-		lowered bool
+		name   string
+		engine func() core.Engine
+		direct bool
 	}
 	cfgs := []cfg{
-		{"sequential/direct-conv", func() core.Engine { return core.NewSequential() }, false},
-		{"sequential/lowered-conv", func() core.Engine { return core.NewSequential() }, true},
-		{fmt.Sprintf("coarse/%d/direct-conv", workers), func() core.Engine { return core.NewCoarse(workers) }, false},
-		{fmt.Sprintf("coarse/%d/lowered-conv", workers), func() core.Engine { return core.NewCoarse(workers) }, true},
-		{fmt.Sprintf("fine/%d", workers), func() core.Engine { return core.NewFine(workers) }, false},
-		{fmt.Sprintf("tuned/%d", workers), func() core.Engine { return core.NewTuned(workers) }, false},
+		{"sequential/direct-conv", func() core.Engine { return core.NewSequential() }, true},
+		{"sequential/lowered-conv", func() core.Engine { return core.NewSequential() }, false},
+		{fmt.Sprintf("coarse/%d/direct-conv", workers), func() core.Engine { return core.NewCoarse(workers) }, true},
+		{fmt.Sprintf("coarse/%d/lowered-conv", workers), func() core.Engine { return core.NewCoarse(workers) }, false},
+		{fmt.Sprintf("fine/%d", workers), func() core.Engine { return core.NewFine(workers) }, true},
+		{fmt.Sprintf("tuned/%d", workers), func() core.Engine { return core.NewTuned(workers) }, true},
 	}
 	res := &EngineComparisonResult{Net: o.Net}
 	for _, c := range cfgs {
 		eng := c.engine()
-		n, err := buildNetVariant(o, eng, c.lowered)
+		n, err := buildNetVariant(o, eng, c.direct)
 		if err != nil {
 			eng.Close()
 			return nil, err
@@ -94,9 +94,9 @@ func EngineComparison(o Options) (*EngineComparisonResult, error) {
 }
 
 // buildNetVariant is buildNet with control over the conv implementation.
-func buildNetVariant(o Options, eng core.Engine, lowered bool) (*net.Net, error) {
+func buildNetVariant(o Options, eng core.Engine, direct bool) (*net.Net, error) {
 	src := sourceFor(o)
-	specs, err := zoo.Build(o.Net, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, LoweredConv: lowered})
+	specs, err := zoo.Build(o.Net, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, DirectConv: direct})
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ func init() {
 	if hasAVX2FMA() {
 		gemmNR = 16
 		gemmMicroKernel = microKernelAVX4x16
+		gemmBlockedRule = avx4x16BlockedRule
 	}
 }
 

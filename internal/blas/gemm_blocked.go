@@ -42,7 +42,8 @@ import "sync"
 //     packed panels (x + a*0 == x for finite a), and the writeback loop
 //     is the same code for full and partial tiles;
 //   - the blocked-vs-reference dispatch (useBlockedGemm) looks only at
-//     (n, k), which every band of the same Gemm shares.
+//     (n, k) and the process-fixed kernel's rule, which every band of the
+//     same Gemm shares.
 //
 // Consequently Gemm, GemmRows on any band partition, and GemmParallel at
 // any worker count all produce bit-identical C — the property
@@ -70,14 +71,38 @@ const (
 	gemmNC = 512
 )
 
-// gemmNR is the active micro-tile width and gemmMicroKernel the active
-// micro-kernel; both are selected once, at package init (see
-// gemm_amd64.go), and never changed afterwards — see the determinism
-// contract above. The kernel accumulates a gemmMR x gemmNR product tile
-// into acc (row stride gemmNR) without touching C.
+// gemmNR is the active micro-tile width, gemmMicroKernel the active
+// micro-kernel and gemmBlockedRule its blocked-vs-reference dispatch; all
+// three are selected once, at package init (see gemm_amd64.go), and never
+// changed afterwards — see the determinism contract above. The kernel
+// accumulates a gemmMR x gemmNR product tile into acc (row stride gemmNR)
+// without touching C.
 var (
 	gemmNR          = 4
 	gemmMicroKernel = microKernelScalar4x4
+	gemmBlockedRule = scalarBlockedRule
+)
+
+// blockedRule is one micro-kernel's measured dispatch: the blocked path
+// runs when n >= minN, k >= minK and n*k >= minNK. It sees only (n, k),
+// never M or the row band (see useBlockedGemm).
+type blockedRule struct{ minN, minK, minNK int }
+
+func (r blockedRule) blocked(n, k int) bool {
+	return n >= r.minN && k >= r.minK && n*k >= r.minNK
+}
+
+// The per-kernel rules, measured with BenchmarkGemmDispatchSweep.
+//
+//   - scalarBlockedRule: the portable 4x4 kernel does not beat gemmRef on
+//     small shapes — packing costs as much as its register tile saves —
+//     so it only takes shapes with n*k >= 4096.
+//   - avx4x16BlockedRule: the 4x16 AVX2 kernel beats gemmRef at every
+//     swept shape with n >= 4 and k >= 4 and M >= 10, by 1.4x to 22x; it
+//     loses at k == 1 (and at M == 1, which the rule cannot see).
+var (
+	scalarBlockedRule  = blockedRule{minN: 4, minK: 8, minNK: 4096}
+	avx4x16BlockedRule = blockedRule{minN: 4, minK: 4}
 )
 
 // GemmScratch holds the packing buffers of the blocked kernel so callers
@@ -123,15 +148,12 @@ func GetScratch() *GemmScratch { return scratchPool.Get().(*GemmScratch) }
 // PutScratch returns a scratch obtained from GetScratch to the pool.
 func PutScratch(s *GemmScratch) { scratchPool.Put(s) }
 
-// useBlockedGemm decides between the blocked kernel and gemmRef. The
-// decision deliberately ignores M: GemmRows/GemmParallel and the coarse
-// engine split M into bands, and every band of one logical Gemm must take
-// the same path for the results to be bit-identical across worker counts.
-// Small-N/K problems stay on gemmRef, where packing would cost more than
-// it saves.
-func useBlockedGemm(n, k int) bool {
-	return n >= 4 && k >= 8 && n*k >= 4096
-}
+// useBlockedGemm decides between the blocked kernel and gemmRef with the
+// active kernel's measured rule. The decision deliberately ignores M:
+// GemmRows/GemmParallel and the coarse engine split M into bands, and
+// every band of one logical Gemm must take the same path for the results
+// to be bit-identical across worker counts.
+func useBlockedGemm(n, k int) bool { return gemmBlockedRule.blocked(n, k) }
 
 // gemmScaleRows applies C = beta*C over the row band; used for the
 // degenerate k == 0 / alpha == 0 cases where the main loops never touch C.

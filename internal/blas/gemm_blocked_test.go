@@ -3,6 +3,7 @@ package blas
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"coarsegrain/internal/par"
 	"coarsegrain/internal/rng"
@@ -101,54 +102,126 @@ func TestBlockedGemmAlphaZero(t *testing.T) {
 	}
 }
 
+// bandShapes are the Gemms the band-invariance tests split: one deep in
+// the blocked region, and two just inside the measured dispatch boundary
+// — LeNet's conv2 backward-data Gemm (Wᵀ·dTop, TransA) and a small NN
+// shape that only the AVX2 rule sends to the blocked kernel.
+var bandShapes = []struct {
+	m, n, k int
+	ta, tb  Transpose
+}{
+	{23, 129, 300, NoTrans, NoTrans},
+	{500, 64, 50, Trans, NoTrans},
+	{10, 64, 32, NoTrans, NoTrans},
+}
+
 // TestBlockedGemmBandInvariance pins the determinism contract directly:
 // computing C in arbitrary (even misaligned) row bands must be
 // bit-identical to the full-range call, because the coarse engine hands
-// layers arbitrary sample bands.
+// layers arbitrary sample bands. Every shape is cut into 1..8 even bands
+// and into a few ragged ones.
 func TestBlockedGemmBandInvariance(t *testing.T) {
 	r := rng.New(13, 13)
-	m, n, k := 23, 129, 300
-	if !useBlockedGemm(n, k) {
-		t.Fatal("shape unexpectedly below blocked threshold")
-	}
-	a := randomSlice(r, m*k)
-	b := randomSlice(r, k*n)
-	want := make([]float32, m*n)
-	Gemm(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, want, n)
-	for _, cuts := range [][]int{{0, m}, {0, 1, m}, {0, 5, 9, m}, {0, 4, 8, 12, 16, 20, m}} {
-		got := make([]float32, m*n)
-		for ci := 0; ci+1 < len(cuts); ci++ {
-			GemmRows(NoTrans, NoTrans, m, n, k, 1, a, k, b, n, 0, got, n, cuts[ci], cuts[ci+1])
+	for _, sh := range bandShapes {
+		m, n, k := sh.m, sh.n, sh.k
+		arows, acols := storage(sh.ta, m, k)
+		brows, bcols := storage(sh.tb, k, n)
+		a := randomSlice(r, arows*acols)
+		b := randomSlice(r, brows*bcols)
+		want := make([]float32, m*n)
+		Gemm(sh.ta, sh.tb, m, n, k, 1, a, acols, b, bcols, 0, want, n)
+		cutSets := [][]int{{0, 1, m}, {0, 5, 9, m}, {0, 4, 8, m - 1, m}}
+		for bands := 1; bands <= 8; bands++ {
+			cuts := []int{0}
+			for i := 1; i <= bands; i++ {
+				cuts = append(cuts, i*m/bands)
+			}
+			cutSets = append(cutSets, cuts)
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("cuts %v: band result differs at %d: %v vs %v", cuts, i, got[i], want[i])
+		for _, cuts := range cutSets {
+			got := make([]float32, m*n)
+			for ci := 0; ci+1 < len(cuts); ci++ {
+				GemmRows(sh.ta, sh.tb, m, n, k, 1, a, acols, b, bcols, 0, got, n, cuts[ci], cuts[ci+1])
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%dx%d cuts %v: band result differs at %d: %v vs %v", m, n, k, cuts, i, got[i], want[i])
+				}
 			}
 		}
 	}
 }
 
-// TestGemmParallelBlockedBitIdentical is the parallel counterpart on a
-// shape large enough for the blocked path (the original parallel test's
-// 37x29x31 stays on gemmRef).
+// TestGemmParallelBlockedBitIdentical is the parallel counterpart: at
+// every worker count 1..8 (and 16) GemmParallel must reproduce the
+// serial Gemm bit for bit, on a deep blocked shape and on the shapes at
+// the dispatch boundary.
 func TestGemmParallelBlockedBitIdentical(t *testing.T) {
 	r := rng.New(14, 14)
-	m, n, k := 37, 141, 97
-	if !useBlockedGemm(n, k) {
-		t.Fatal("shape unexpectedly below blocked threshold")
+	shapes := append([]struct {
+		m, n, k int
+		ta, tb  Transpose
+	}{{37, 141, 97, NoTrans, Trans}}, bandShapes[1:]...)
+	for _, sh := range shapes {
+		m, n, k := sh.m, sh.n, sh.k
+		arows, acols := storage(sh.ta, m, k)
+		brows, bcols := storage(sh.tb, k, n)
+		a := randomSlice(r, arows*acols)
+		b := randomSlice(r, brows*bcols)
+		want := make([]float32, m*n)
+		Gemm(sh.ta, sh.tb, m, n, k, 1, a, acols, b, bcols, 0, want, n)
+		for _, workers := range []int{1, 2, 3, 4, 5, 6, 7, 8, 16} {
+			p := par.NewPool(workers)
+			got := make([]float32, m*n)
+			GemmParallel(p, sh.ta, sh.tb, m, n, k, 1, a, acols, b, bcols, 0, got, n)
+			p.Close()
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%dx%dx%d workers=%d: parallel gemm differs at %d", m, n, k, workers, i)
+				}
+			}
+		}
 	}
-	a := randomSlice(r, m*k)
-	b := randomSlice(r, k*n)
-	want := make([]float32, m*n)
-	Gemm(NoTrans, Trans, m, n, k, 1, a, k, b, k, 0, want, n)
-	for _, workers := range []int{1, 2, 3, 5, 8, 16} {
-		p := par.NewPool(workers)
-		got := make([]float32, m*n)
-		GemmParallel(p, NoTrans, Trans, m, n, k, 1, a, k, b, k, 0, got, n)
-		p.Close()
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d: parallel blocked gemm differs at %d", workers, i)
+}
+
+// TestBlockedGemmDispatchRule pins the dispatch predicate: the rule is
+// the active micro-kernel's, fixed at init next to gemmNR, and it is a
+// function of (n, k) alone. On the AVX2 kernel the measured boundary
+// sends LeNet's conv2 backward-data Gemm (n=64, k=50) to the blocked
+// kernel; the scalar kernel keeps the n*k >= 4096 cut-off.
+func TestBlockedGemmDispatchRule(t *testing.T) {
+	want := scalarBlockedRule
+	if gemmNR == 16 {
+		want = avx4x16BlockedRule
+	}
+	if gemmBlockedRule != want {
+		t.Fatalf("kernel with nr=%d dispatches by %+v, want %+v", gemmNR, gemmBlockedRule, want)
+	}
+	cases := []struct {
+		rule blockedRule
+		n, k int
+		want bool
+	}{
+		{avx4x16BlockedRule, 64, 50, true},
+		{avx4x16BlockedRule, 64, 32, true},
+		{avx4x16BlockedRule, 4, 4, true},
+		{avx4x16BlockedRule, 3, 64, false},
+		{avx4x16BlockedRule, 64, 3, false},
+		{avx4x16BlockedRule, 64, 1, false},
+		{scalarBlockedRule, 64, 50, false},
+		{scalarBlockedRule, 64, 64, true},
+		{scalarBlockedRule, 4096, 7, false},
+		{scalarBlockedRule, 3, 4096, false},
+	}
+	for _, c := range cases {
+		if got := c.rule.blocked(c.n, c.k); got != c.want {
+			t.Errorf("%+v.blocked(%d, %d) = %v, want %v", c.rule, c.n, c.k, got, c.want)
+		}
+	}
+	for _, n := range []int{1, 3, 4, 16, 64, 500} {
+		for _, k := range []int{1, 3, 4, 8, 50, 4096} {
+			if useBlockedGemm(n, k) != want.blocked(n, k) {
+				t.Fatalf("useBlockedGemm(%d, %d) disagrees with the active rule", n, k)
 			}
 		}
 	}
@@ -254,6 +327,79 @@ func BenchmarkGemmNetShapes(b *testing.B) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// withKernel runs f with the blocked kernel's process-fixed selection
+// swapped for (nr, kernel, rule) and restores it afterwards. Only the
+// serial benchmark below uses it, to measure the portable kernel on hosts
+// where init picked the assembly one; nothing may run Gemm concurrently.
+func withKernel(nr int, kernel func([]float32, []float32, int, *[gemmMR * gemmNRMax]float32), rule blockedRule, f func()) {
+	oldNR, oldKernel, oldRule := gemmNR, gemmMicroKernel, gemmBlockedRule
+	gemmNR, gemmMicroKernel, gemmBlockedRule = nr, kernel, rule
+	defer func() { gemmNR, gemmMicroKernel, gemmBlockedRule = oldNR, oldKernel, oldRule }()
+	f()
+}
+
+// BenchmarkGemmDispatchSweep re-derives the dispatch rule on the host it
+// runs on: for each small (trans, M, N, K) it times gemmRef and the
+// blocked kernel (called directly, bypassing useBlockedGemm) and reports
+// ref-GFLOP/s, blk-GFLOP/s and their ratio, for the active micro-kernel
+// and for the portable scalar one. The rule picked at init is the region
+// of (N, K) where blk/ref > 1 at every M the layers issue (M >= 10); it
+// must not depend on M (see the determinism contract in gemm_blocked.go).
+//
+//	go test ./internal/blas -run '^$' -bench GemmDispatchSweep -benchtime 20ms
+func BenchmarkGemmDispatchSweep(b *testing.B) {
+	type kern struct {
+		name   string
+		nr     int
+		kernel func([]float32, []float32, int, *[gemmMR * gemmNRMax]float32)
+		rule   blockedRule
+	}
+	kernels := []kern{{"scalar4x4", 4, microKernelScalar4x4, scalarBlockedRule}}
+	if gemmNR != 4 {
+		kernels = append(kernels, kern{fmt.Sprintf("active%dx%d", gemmMR, gemmNR), gemmNR, gemmMicroKernel, gemmBlockedRule})
+	}
+	trans := []struct {
+		name   string
+		ta, tb Transpose
+	}{{"NN", NoTrans, NoTrans}, {"TN", Trans, NoTrans}, {"NT", NoTrans, Trans}}
+	r := rng.New(17, 17)
+	for _, kn := range kernels {
+		for _, tr := range trans {
+			for _, m := range []int{1, 10, 64, 500} {
+				for _, n := range []int{2, 4, 16, 64} {
+					for _, k := range []int{1, 4, 8, 32, 64} {
+						arows, acols := storage(tr.ta, m, k)
+						brows, bcols := storage(tr.tb, k, n)
+						a := randomSlice(r, arows*acols)
+						bm := randomSlice(r, brows*bcols)
+						c := make([]float32, m*n)
+						name := fmt.Sprintf("%s/%s/m=%d/n=%d/k=%d", kn.name, tr.name, m, n, k)
+						b.Run(name, func(b *testing.B) {
+							withKernel(kn.nr, kn.kernel, kn.rule, func() {
+								s := &GemmScratch{}
+								start := time.Now()
+								for i := 0; i < b.N; i++ {
+									gemmRef(tr.ta, tr.tb, n, k, 1, a, acols, bm, bcols, 0, c, n, 0, m)
+								}
+								ref := time.Since(start)
+								start = time.Now()
+								for i := 0; i < b.N; i++ {
+									gemmBlocked(s, tr.ta, tr.tb, n, k, 1, a, acols, bm, bcols, 0, c, n, 0, m)
+								}
+								blk := time.Since(start)
+								flops := 2 * float64(m) * float64(n) * float64(k) * float64(b.N)
+								b.ReportMetric(flops/ref.Seconds()/1e9, "ref-GFLOP/s")
+								b.ReportMetric(flops/blk.Seconds()/1e9, "blk-GFLOP/s")
+								b.ReportMetric(ref.Seconds()/blk.Seconds(), "blk/ref")
+							})
+						})
+					}
+				}
+			}
 		}
 	}
 }

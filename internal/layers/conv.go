@@ -20,17 +20,17 @@ type ConvConfig struct {
 	PadH, PadW         int
 	Stride             int
 	StrideH, StrideW   int
-	BiasTerm           bool // NOTE: set via NewConvolution default (true); see WithoutBias
 	NoBias             bool // disable the bias term
 	WeightFiller       Filler
 	BiasFiller         Filler
 	RNG                *rng.RNG
 	DisablePropagation bool // skip gradient w.r.t. bottom (first conv after data)
-	// Lowered selects the im2col+GEMM implementation (Caffe's CPU path)
-	// for the sequential/coarse engines instead of the direct loop nest;
-	// the coalesced unit becomes one sample and each worker privatizes a
-	// column buffer (see conv_lowered.go).
-	Lowered bool
+	// Direct selects the paper's Algorithm 2 loop nest for the
+	// sequential/coarse engines instead of the default im2col+GEMM
+	// lowering (Caffe's CPU path, conv_lowered.go). It is the test oracle
+	// and the kernel the paper-figure harness measures; nothing else
+	// should set it.
+	Direct bool
 }
 
 func (c *ConvConfig) normalize() error {
@@ -78,15 +78,21 @@ func (c *ConvConfig) normalize() error {
 
 // Convolution is a 2-D convolutional layer (feature learning, §2.2.1).
 //
-// The sequential/coarse-grain implementation is the direct loop nest of
-// Algorithm 2: the forward pass coalesces the two outermost loops (sample,
-// output channel) and computes each output feature map independently; the
-// backward pass coalesces over samples only, because the gradient with
-// respect to the input accumulates contributions from all output channels
-// of the same sample and must stay within one worker to remain race-free.
+// The sequential/coarse-grain implementation lowers each sample with
+// im2col and runs the convolution as GEMMs (conv_lowered.go); the
+// coalesced unit is one sample in both passes, and each worker
+// privatizes its column buffers. With ConvConfig.Direct it is instead the
+// direct loop nest of Algorithm 2: the forward pass coalesces the two
+// outermost loops (sample, output channel) and computes each output
+// feature map independently; the backward pass coalesces over samples
+// only, because the gradient with respect to the input accumulates
+// contributions from all output channels of the same sample and must
+// stay within one worker to remain race-free.
 //
-// The layer additionally implements the tuned (cuDNN-analogue) path:
-// im2col lowering plus GEMM, with the GEMM rows split across the pool.
+// The layer additionally implements the fine-grain path (the direct loop
+// nest with inner loops split across the pool) and the tuned
+// (cuDNN-analogue) path: the same lowering, with the GEMM rows split
+// across the pool.
 type Convolution struct {
 	base
 	cfg ConvConfig
@@ -97,10 +103,11 @@ type Convolution struct {
 
 	propagateDown bool
 
-	// Scratch for the tuned path: one column buffer (samples are processed
-	// serially in that path, parallelism is inside the GEMM), plus its
-	// backward twin holding dcol = W^T * dTop before col2im. Both persist
-	// across calls so the tuned hot path allocates nothing in steady state.
+	// Scratch for the tuned path, allocated on its first call: one column
+	// buffer (samples are processed serially in that path, parallelism is
+	// inside the GEMM), plus its backward twin holding dcol = W^T * dTop
+	// before col2im. Both persist across calls so the tuned hot path
+	// allocates nothing in steady state.
 	colBuf  []float32
 	dcolBuf []float32
 	// cols hands out per-worker private column buffers for the lowered
@@ -163,27 +170,22 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
 	}
 	top[0].Reshape(l.num, l.cfg.NumOutput, l.outH, l.outW)
-	colLen := l.channels * l.cfg.KernelH * l.cfg.KernelW * l.outH * l.outW
-	if cap(l.colBuf) < colLen {
-		l.colBuf = make([]float32, colLen)
-	}
-	l.colBuf = l.colBuf[:colLen]
 }
 
-// ForwardExtent implements Layer: in the direct implementation the
-// (sample, output-channel) loops are coalesced, giving S*O small work
-// units (Algorithm 4's civ loop); the lowered implementation's unit is one
-// im2col'd sample, so its extent is S.
+// ForwardExtent implements Layer: the lowered implementation's unit is
+// one im2col'd sample, so its extent is S; in the direct implementation
+// the (sample, output-channel) loops are coalesced, giving S*O small work
+// units (Algorithm 4's civ loop).
 func (l *Convolution) ForwardExtent() int {
-	if l.cfg.Lowered {
-		return l.num
+	if l.cfg.Direct {
+		return l.num * l.cfg.NumOutput
 	}
-	return l.num * l.cfg.NumOutput
+	return l.num
 }
 
 // ForwardRange implements Layer.
 func (l *Convolution) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
-	if l.cfg.Lowered {
+	if !l.cfg.Direct {
 		l.forwardLoweredRange(lo, hi, bottom[0], top[0])
 		return
 	}
@@ -241,7 +243,7 @@ func (l *Convolution) BackwardExtent() int { return l.num }
 
 // BackwardRange implements Layer.
 func (l *Convolution) BackwardRange(lo, hi int, bottom, top []*blob.Blob, paramGrads []*blob.Blob) {
-	if l.cfg.Lowered {
+	if !l.cfg.Direct {
 		l.backwardLoweredRange(lo, hi, bottom[0], top[0], paramGrads)
 		return
 	}
@@ -413,75 +415,32 @@ func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 	}
 }
 
-// ForwardTuned implements TunedForwarder: the cuDNN analogue. Each sample
-// is lowered with im2col and the convolution becomes one GEMM,
-// W (O x CKK) * col (CKK x OHW), with GEMM rows split across the pool.
+// ForwardTuned implements TunedForwarder: the cuDNN analogue. Samples
+// are walked serially through the lowered forward body, with each GEMM's
+// rows split across the pool.
 func (l *Convolution) ForwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
-	w := l.params[0].Data()
-	for s := 0; s < l.num; s++ {
-		im := bottom[0].Data()[s*l.channels*l.height*l.width:]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, l.colBuf)
-		out := top[0].Data()[s*o*ohw : (s+1)*o*ohw]
-		blas.GemmParallel(p, blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, l.colBuf, ohw, 0, out, ohw)
-		if !l.cfg.NoBias {
-			bias := l.params[1].Data()
-			p.For(o, func(olo, ohi, _ int) {
-				for oc := olo; oc < ohi; oc++ {
-					blas.AddScalar(out[oc*ohw:(oc+1)*ohw], bias[oc])
-				}
-			})
-		}
-	}
+	col, _ := l.tunedBuffers()
+	l.forwardLowered(0, l.num, bottom[0], top[0], col, poolGemm(p))
 }
 
-// BackwardTuned implements TunedBackwarder: dW += dTop * col^T and
-// dcol = W^T * dTop per sample, followed by col2im scattering; all GEMMs
-// are row-parallel.
+// BackwardTuned implements TunedBackwarder: the lowered backward body
+// (dW += dTop * col^T, dcol = W^T * dTop, col2im) per sample, with every
+// GEMM row-parallel.
 func (l *Convolution) BackwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
-	ohw := l.outH * l.outW
-	chw := l.channels * l.height * l.width
-	w := l.params[0].Data()
-	wGrad := l.params[0].Diff()
-	if cap(l.dcolBuf) < len(l.colBuf) {
-		l.dcolBuf = make([]float32, len(l.colBuf))
+	col, dcol := l.tunedBuffers()
+	l.backwardLowered(0, l.num, bottom[0], top[0], l.params, col, dcol, poolGemm(p))
+}
+
+// tunedBuffers sizes the tuned path's persistent column buffers to the
+// current geometry, allocating only when it grew.
+func (l *Convolution) tunedBuffers() (col, dcol []float32) {
+	n := l.colLen()
+	if cap(l.colBuf) < n {
+		l.colBuf = make([]float32, n)
+		l.dcolBuf = make([]float32, n)
 	}
-	dcol := l.dcolBuf[:len(l.colBuf)]
-	for s := 0; s < l.num; s++ {
-		im := bottom[0].Data()[s*chw:]
-		outDiff := top[0].Diff()[s*o*ohw : (s+1)*o*ohw]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, l.colBuf)
-		// dW (O x CKK) += dTop (O x OHW) * col^T (OHW x CKK).
-		blas.GemmParallel(p, blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, l.colBuf, ohw, 1, wGrad, ckk)
-		if !l.cfg.NoBias {
-			bGrad := l.params[1].Diff()
-			for oc := 0; oc < o; oc++ {
-				var sum float32
-				row := outDiff[oc*ohw : (oc+1)*ohw]
-				for _, v := range row {
-					sum += v
-				}
-				bGrad[oc] += sum
-			}
-		}
-		if !l.propagateDown {
-			continue
-		}
-		// dcol (CKK x OHW) = W^T (CKK x O) * dTop (O x OHW).
-		blas.GemmParallel(p, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
-		inDiff := bottom[0].Diff()[s*chw : (s+1)*chw]
-		for i := range inDiff {
-			inDiff[i] = 0
-		}
-		blas.Col2im(dcol, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, inDiff)
-	}
+	l.colBuf, l.dcolBuf = l.colBuf[:n], l.dcolBuf[:n]
+	return l.colBuf, l.dcolBuf
 }
 
 // ForwardFLOPs implements Coster: the direct convolution's multiply-add

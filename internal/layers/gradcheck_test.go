@@ -136,38 +136,46 @@ func randomBlob(r *rng.RNG, lo, hi float32, shape ...int) *blob.Blob {
 	return b
 }
 
+// The convolution gradient checks run both implementations: the direct
+// loop nest (the oracle) and the default lowered path.
 func TestGradConvolution(t *testing.T) {
-	r := rng.New(1, 10)
-	l, err := NewConvolution("c", ConvConfig{NumOutput: 3, Kernel: 3, Stride: 1, Pad: 1,
-		WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
-	if err != nil {
-		t.Fatal(err)
+	for _, direct := range []bool{true, false} {
+		r := rng.New(1, 10)
+		l, err := NewConvolution("c", ConvConfig{NumOutput: 3, Kernel: 3, Stride: 1, Pad: 1, Direct: direct,
+			WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := randomBlob(r, -1, 1, 2, 2, 5, 5)
+		gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 	}
-	bottom := randomBlob(r, -1, 1, 2, 2, 5, 5)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 }
 
 func TestGradConvolutionStridePad(t *testing.T) {
-	r := rng.New(2, 10)
-	l, err := NewConvolution("c", ConvConfig{NumOutput: 2, KernelH: 3, KernelW: 2,
-		StrideH: 2, StrideW: 1, PadH: 1, PadW: 0,
-		WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
-	if err != nil {
-		t.Fatal(err)
+	for _, direct := range []bool{true, false} {
+		r := rng.New(2, 10)
+		l, err := NewConvolution("c", ConvConfig{NumOutput: 2, KernelH: 3, KernelW: 2,
+			StrideH: 2, StrideW: 1, PadH: 1, PadW: 0, Direct: direct,
+			WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := randomBlob(r, -1, 1, 2, 3, 6, 5)
+		gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 	}
-	bottom := randomBlob(r, -1, 1, 2, 3, 6, 5)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 }
 
 func TestGradConvolutionNoBias(t *testing.T) {
-	r := rng.New(3, 10)
-	l, err := NewConvolution("c", ConvConfig{NumOutput: 2, Kernel: 3, NoBias: true,
-		WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
-	if err != nil {
-		t.Fatal(err)
+	for _, direct := range []bool{true, false} {
+		r := rng.New(3, 10)
+		l, err := NewConvolution("c", ConvConfig{NumOutput: 2, Kernel: 3, NoBias: true, Direct: direct,
+			WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := randomBlob(r, -1, 1, 2, 2, 4, 4)
+		gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 	}
-	bottom := randomBlob(r, -1, 1, 2, 2, 4, 4)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, true, 1e-2, 2e-2)
 }
 
 func TestGradPoolingMax(t *testing.T) {

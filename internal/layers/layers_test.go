@@ -78,7 +78,8 @@ func TestConvShapesLeNet(t *testing.T) {
 	if w := l.Params()[0].Shape(); w[0] != 20 || w[1] != 1 || w[2] != 5 || w[3] != 5 {
 		t.Fatalf("weight shape %v", w)
 	}
-	if l.ForwardExtent() != 4*20 {
+	// Lowered (default) forward coalesces one unit per sample.
+	if l.ForwardExtent() != 4 {
 		t.Fatalf("forward extent %d", l.ForwardExtent())
 	}
 	if l.BackwardExtent() != 4 {
@@ -834,9 +835,9 @@ func TestChunkedForwardEqualsWhole(t *testing.T) {
 // nest in both passes, under arbitrary chunked range splits.
 func TestConvLoweredMatchesDirect(t *testing.T) {
 	r := rng.New(61, 1)
-	mk := func(lowered bool) (*Convolution, *blob.Blob, []*blob.Blob) {
+	mk := func(direct bool) (*Convolution, *blob.Blob, []*blob.Blob) {
 		l, err := NewConvolution("c", ConvConfig{
-			NumOutput: 4, Kernel: 3, Pad: 1, Stride: 2, Lowered: lowered,
+			NumOutput: 4, Kernel: 3, Pad: 1, Stride: 2, Direct: direct,
 			WeightFiller: GaussianFiller{Std: 0.3}, RNG: rng.New(8, 8),
 		})
 		if err != nil {
@@ -846,8 +847,8 @@ func TestConvLoweredMatchesDirect(t *testing.T) {
 		tops := setup(t, l, []*blob.Blob{bottom})
 		return l, bottom, tops
 	}
-	ld, bd, td := mk(false)
-	ll, bl, tl := mk(true)
+	ld, bd, td := mk(true)
+	ll, bl, tl := mk(false)
 	for i := range bd.Data() {
 		v := r.Range(-1, 1)
 		bd.Data()[i] = v
@@ -887,7 +888,7 @@ func TestConvLoweredMatchesDirect(t *testing.T) {
 
 func TestConvLoweredGradientCheck(t *testing.T) {
 	r := rng.New(62, 1)
-	l, err := NewConvolution("c", ConvConfig{NumOutput: 2, Kernel: 3, Pad: 1, Lowered: true,
+	l, err := NewConvolution("c", ConvConfig{NumOutput: 2, Kernel: 3, Pad: 1,
 		WeightFiller: GaussianFiller{Std: 0.3}, RNG: r.Split(0)})
 	if err != nil {
 		t.Fatal(err)

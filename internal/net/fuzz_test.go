@@ -48,7 +48,7 @@ func randomNet(t *testing.T, r *rng.RNG, eng core.Engine) *Net {
 			out := 1 + r.Intn(6)
 			lowered := r.Bernoulli(0.5)
 			l, err := layers.NewConvolution(name, layers.ConvConfig{
-				NumOutput: out, Kernel: kernel, Pad: r.Intn(2), Lowered: lowered,
+				NumOutput: out, Kernel: kernel, Pad: r.Intn(2), Direct: !lowered,
 				WeightFiller: layers.GaussianFiller{Std: 0.2}, RNG: wrng.Split(uint64(i)),
 			})
 			mk(name, l, err)

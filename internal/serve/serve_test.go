@@ -11,7 +11,7 @@ import (
 )
 
 // testBuild returns a Builder for a small MNIST-shaped net — data,
-// conv1(4,5x5,stride2, lowered), ip1(10) — plus a SoftmaxWithLoss tail
+// conv1(4,5x5,stride2), ip1(10) — plus a SoftmaxWithLoss tail
 // so every server construction also exercises StripTraining. Equal
 // seeds give bit-identical weights across servers.
 func testBuild(seed uint64) Builder {
@@ -21,7 +21,7 @@ func testBuild(seed uint64) Builder {
 			return nil, err
 		}
 		conv, err := layers.NewConvolution("conv1", layers.ConvConfig{
-			NumOutput: 4, Kernel: 5, Stride: 2, Lowered: true,
+			NumOutput: 4, Kernel: 5, Stride: 2,
 			WeightFiller: layers.XavierFiller{}, RNG: rng.New(seed, 1),
 		})
 		if err != nil {

@@ -22,8 +22,12 @@ type Options struct {
 	Seed uint64
 	// Accuracy appends an Accuracy layer next to the loss.
 	Accuracy bool
-	// LoweredConv selects the im2col+GEMM convolution implementation
-	// (Caffe's CPU path) instead of the direct loop nest.
+	// DirectConv selects the direct loop nest of the paper's Algorithm 2
+	// for every convolution instead of the default im2col+GEMM lowering
+	// (Caffe's CPU path). The paper-figure harness sets it.
+	DirectConv bool
+	// Deprecated: LoweredConv is ignored. Lowered convolution is the
+	// default; set DirectConv for the loop nest.
 	LoweredConv bool
 }
 
@@ -41,7 +45,7 @@ func LeNet(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 		return nil, err
 	}
 	conv1, err := layers.NewConvolution("conv1", layers.ConvConfig{
-		NumOutput: 20, Kernel: 5, Stride: 1, Lowered: opt.LoweredConv,
+		NumOutput: 20, Kernel: 5, Stride: 1, Direct: opt.DirectConv,
 		WeightFiller: layers.XavierFiller{}, RNG: r.Split(1),
 	})
 	if err != nil {
@@ -52,7 +56,7 @@ func LeNet(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 		return nil, err
 	}
 	conv2, err := layers.NewConvolution("conv2", layers.ConvConfig{
-		NumOutput: 50, Kernel: 5, Stride: 1, Lowered: opt.LoweredConv,
+		NumOutput: 50, Kernel: 5, Stride: 1, Direct: opt.DirectConv,
 		WeightFiller: layers.XavierFiller{}, RNG: r.Split(2),
 	})
 	if err != nil {
@@ -122,7 +126,7 @@ func CIFARFull(src layers.Source, opt Options) ([]net.LayerSpec, error) {
 	}
 	newConv := func(name string, out int, std float32, stream uint64) (*layers.Convolution, error) {
 		return layers.NewConvolution(name, layers.ConvConfig{
-			NumOutput: out, Kernel: 5, Pad: 2, Stride: 1, Lowered: opt.LoweredConv,
+			NumOutput: out, Kernel: 5, Pad: 2, Stride: 1, Direct: opt.DirectConv,
 			WeightFiller: layers.GaussianFiller{Std: std}, RNG: r.Split(stream),
 		})
 	}

@@ -181,12 +181,12 @@ func TestSeedReproducibility(t *testing.T) {
 	}
 }
 
-// The lowered-convolution variant must compute the same function as the
-// direct variant (same weights, same data).
+// The default lowered convolution must compute the same function as the
+// DirectConv variant (same weights, same data).
 func TestLoweredConvVariantMatchesDirect(t *testing.T) {
-	mk := func(lowered bool) *net.Net {
+	mk := func(direct bool) *net.Net {
 		src := data.NewSyntheticMNIST(64, 8)
-		specs, err := LeNet(src, Options{BatchSize: 8, Seed: 8, LoweredConv: lowered})
+		specs, err := LeNet(src, Options{BatchSize: 8, Seed: 8, DirectConv: direct})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +196,95 @@ func TestLoweredConvVariantMatchesDirect(t *testing.T) {
 		}
 		return n
 	}
-	a := mk(false)
-	b := mk(true)
+	a := mk(true)
+	b := mk(false)
 	la, lb := a.Forward(), b.Forward()
 	rel := (la - lb) / la
 	if rel > 1e-5 || rel < -1e-5 {
 		t.Fatalf("lowered LeNet loss %v vs direct %v", lb, la)
 	}
+}
+
+// TestLeNetLoweredDeterminismSweep pins the determinism contract on the
+// default (lowered im2col+GEMM) training path at every worker count
+// P = 1..8: the coarse forward pass is bitwise equal to sequential, a
+// coarse(P) training run repeats bitwise, and coarse(1) matches
+// sequential bitwise over 20 SGD steps.
+func TestLeNetLoweredDeterminismSweep(t *testing.T) {
+	const batch = 20 // uneven bands at P = 3, 6, 7, 8
+	build := func(eng core.Engine) *net.Net {
+		t.Helper()
+		specs, err := LeNet(data.NewSyntheticMNIST(96, 11), Options{BatchSize: batch, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := net.New(specs, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	train := func(eng core.Engine, iters int) ([]float64, *net.Net) {
+		t.Helper()
+		n := build(eng)
+		s, err := solver.New(LeNetSolver(), n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s.Step(iters), n
+	}
+	sameBits := func(label string, got, want *net.Net) {
+		t.Helper()
+		for i, p := range want.Params() {
+			g := got.Params()[i].Data()
+			for j, v := range p.Data() {
+				if g[j] != v {
+					t.Fatalf("%s: param %s differs at %d: %v vs %v", label, p.Name(), j, g[j], v)
+				}
+			}
+		}
+	}
+	sameTrace := func(label string, got, want []float64) {
+		t.Helper()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: loss differs at iter %d: %v vs %v", label, i, got[i], want[i])
+			}
+		}
+	}
+
+	seq := build(core.NewSequential())
+	seqLoss := seq.Forward()
+	for p := 1; p <= 8; p++ {
+		e := core.NewCoarse(p)
+		n := build(e)
+		loss := n.Forward()
+		for _, name := range []string{"conv1", "pool1", "conv2", "pool2", "ip1", "ip2"} {
+			want, got := seq.Blob(name).Data(), n.Blob(name).Data()
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("P=%d: coarse forward blob %s differs from sequential at %d: %v vs %v", p, name, i, got[i], want[i])
+				}
+			}
+		}
+		if loss != seqLoss {
+			t.Fatalf("P=%d: coarse forward loss %v, sequential %v", p, loss, seqLoss)
+		}
+		e.Close()
+
+		e1, e2 := core.NewCoarse(p), core.NewCoarse(p)
+		a, na := train(e1, 3)
+		b, nb := train(e2, 3)
+		e1.Close()
+		e2.Close()
+		sameTrace("coarse rerun", b, a)
+		sameBits("coarse rerun", nb, na)
+	}
+
+	ref, nref := train(core.NewSequential(), 20)
+	e := core.NewCoarse(1)
+	defer e.Close()
+	got, ngot := train(e, 20)
+	sameTrace("coarse(1) vs sequential", got, ref)
+	sameBits("coarse(1) vs sequential", ngot, nref)
 }

@@ -4,8 +4,9 @@
 # catalogue of its analyzers and this script's self-tests follow its
 # order), the full test suite (including Example tests), race-detector
 # passes over the parallel substrate (the BLAS band kernels, the worker
-# pool, the span tracer, the instrumented net loop, the coarse engine and
-# the serving layer), the reduction determinism sweep (the
+# pool, the span tracer, the layers with their per-worker pooled column
+# buffers, the instrumented net loop, the coarse engine, the zoo nets'
+# determinism sweep and the serving layer), the reduction determinism sweep (the
 # element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count) plus a dedicated race pass over
 # the spin-then-park barrier, a tracing smoke run that must produce valid
@@ -72,9 +73,10 @@ go test ./...
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
 
-echo "== go test -race (blas, par, trace, net, core, guard, faultinject, serve, transport, dist) =="
-go test -race -count=1 ./internal/blas ./internal/par ./internal/trace ./internal/net ./internal/core \
-	./internal/guard ./internal/faultinject ./internal/serve ./internal/transport ./internal/dist
+echo "== go test -race (blas, par, trace, layers, net, core, zoo, guard, faultinject, serve, transport, dist) =="
+go test -race -count=1 ./internal/blas ./internal/par ./internal/trace ./internal/layers ./internal/net \
+	./internal/core ./internal/zoo ./internal/guard ./internal/faultinject ./internal/serve \
+	./internal/transport ./internal/dist
 
 echo "== reduction determinism sweep (OrderedSlices bit-identical across P) =="
 go test -count=1 -run 'TestOrderedSlicesBitIdenticalToOrdered|TestOrderedSlicesMergeBitIdenticalAcrossWorkers' \
