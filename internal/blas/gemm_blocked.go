@@ -43,7 +43,12 @@ import "sync"
 //     is the same code for full and partial tiles;
 //   - the blocked-vs-reference dispatch (useBlockedGemm) looks only at
 //     (n, k) and the process-fixed kernel's rule, which every band of the
-//     same Gemm shares.
+//     same Gemm shares;
+//   - N-blocking is invisible too: the lanes of a micro-tile are
+//     independent, so which NC block, micro-panel or lane a column lands
+//     in never changes its value. That is what lets the convolution
+//     forward (gemm_im2col.go) run one GEMM over a whole band of
+//     samples and still match the per-sample GEMMs bit for bit.
 //
 // Consequently Gemm, GemmRows on any band partition, and GemmParallel at
 // any worker count all produce bit-identical C — the property
@@ -70,6 +75,11 @@ const (
 	// packed exactly once per KC block.
 	gemmNC = 512
 )
+
+// MicroTileRows is the blocked kernel's micro-tile height. Row bands of
+// one GEMM cut on its multiples (par.Pool.ForTiles) run whole
+// micro-tiles; the results are bit-identical at any cut.
+const MicroTileRows = gemmMR
 
 // gemmNR is the active micro-tile width, gemmMicroKernel the active
 // micro-kernel and gemmBlockedRule its blocked-vs-reference dispatch; all
@@ -119,6 +129,9 @@ type GemmScratch struct {
 	// defeats escape analysis and would heap-allocate the tile on every
 	// call — one GC object per GEMM on the serving hot path.
 	acc [gemmMR * gemmNRMax]float32
+	// rows is the image packer's per-row address table (gemm_im2col.go),
+	// kept here so packing one KC block does not zero a fresh one.
+	rows [gemmKC]kernRow
 }
 
 func (s *GemmScratch) ensure(apLen, bpLen int) {
@@ -176,11 +189,52 @@ func gemmScaleRows(n int, beta float32, c []float32, ldc, rowLo, rowHi int) {
 // beta*C with the blocked/packed kernel. The caller has validated the
 // arguments (checkGemm) and the dispatch predicate (useBlockedGemm).
 func gemmBlocked(s *GemmScratch, transA, transB Transpose, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int, rowLo, rowHi int) {
+	gemmBlockedOps(s, transA, n, k, alpha, a, lda, &bOperand{trans: transB, b: b, ldb: ldb},
+		beta, &cOperand{c: c, ldc: ldc, segN: n}, rowLo, rowHi)
+}
+
+// bOperand is op(B) as the blocked kernel reads it: a stored row-major
+// matrix (geom == nil), or images read through their im2col view
+// (gemm_im2col.go), which is never materialized.
+type bOperand struct {
+	trans Transpose
+	b     []float32
+	ldb   int
+	geom  *ConvGeom
+}
+
+// pack writes op(B)[pc:pc+kc, jc:jc+nc] into s.bp as nr-wide
+// micro-panels.
+func (o *bOperand) pack(s *GemmScratch, pc, kc, jc, nc int) {
+	switch {
+	case o.geom == nil:
+		packB(s.bp, o.trans, o.b, o.ldb, pc, kc, jc, nc)
+	case o.trans == NoTrans:
+		packIm2col(s.bp, &s.rows, o.geom, o.b, pc, kc, jc, nc)
+	default:
+		packIm2colT(s.bp, o.geom, o.b, pc, kc, jc, nc)
+	}
+}
+
+// cOperand is where the blocked kernel writes C. Its columns come in
+// segments of segN: element (i, j) lives at
+// c[(j/segN)*segStride + i*ldc + j%segN]. A plain matrix is a single
+// segment; the band-batched convolution forward has one per sample.
+type cOperand struct {
+	c                    []float32
+	ldc, segN, segStride int
+}
+
+// gemmBlockedOps is the blocked kernel over a general B source and C
+// layout; gemmBlocked is its plain-matrix form.
+func gemmBlockedOps(s *GemmScratch, transA Transpose, n, k int, alpha float32, a []float32, lda int, b *bOperand, beta float32, c *cOperand, rowLo, rowHi int) {
 	if rowLo >= rowHi {
 		return
 	}
 	if alpha == 0 || k == 0 {
-		gemmScaleRows(n, beta, c, ldc, rowLo, rowHi)
+		for seg := 0; seg*c.segN < n; seg++ {
+			gemmScaleRows(min(c.segN, n-seg*c.segN), beta, c.c[seg*c.segStride:], c.ldc, rowLo, rowHi)
+		}
 		return
 	}
 	nr := gemmNR
@@ -197,25 +251,25 @@ func gemmBlocked(s *GemmScratch, transA, transB Transpose, n, k int, alpha float
 		kcMax = k
 	}
 	s.ensure(roundUp(mcMax, gemmMR)*kcMax, roundUp(ncMax, nr)*kcMax)
-	acc := &s.acc
+	acc := s.acc[:]
 	for jc := 0; jc < n; jc += gemmNC {
 		nc := min(gemmNC, n-jc)
 		for pc := 0; pc < k; pc += gemmKC {
 			kc := min(gemmKC, k-pc)
 			firstK := pc == 0
-			packB(s.bp, transB, b, ldb, pc, kc, jc, nc)
+			b.pack(s, pc, kc, jc, nc)
 			for ic := rowLo; ic < rowHi; ic += gemmMC {
 				mc := min(gemmMC, rowHi-ic)
 				packA(s.ap, transA, a, lda, ic, mc, pc, kc)
 				for jr := 0; jr < nc; jr += nr {
 					nrr := min(nr, nc-jr)
 					bpPanel := s.bp[(jr/nr)*kc*nr:]
+					seg, col := (jc+jr)/c.segN, (jc+jr)%c.segN
 					for ir := 0; ir < mc; ir += gemmMR {
 						mrr := min(gemmMR, mc-ir)
 						apPanel := s.ap[(ir/gemmMR)*kc*gemmMR:]
-						gemmMicroKernel(apPanel, bpPanel, kc, acc)
-						writebackTile(acc, nr, alpha, beta, firstK,
-							c[(ic+ir)*ldc+jc+jr:], ldc, mrr, nrr)
+						gemmMicroKernel(apPanel, bpPanel, kc, &s.acc)
+						c.writeback(acc, nr, alpha, beta, firstK, ic+ir, seg, col, mrr, nrr)
 					}
 				}
 			}
@@ -223,15 +277,28 @@ func gemmBlocked(s *GemmScratch, transA, transB Transpose, n, k int, alpha float
 	}
 }
 
+// writeback folds the micro-tile for rows [i, i+mrr) and nrr columns
+// starting at column col of segment seg, in one piece per segment the
+// tile touches: a tile that straddles a sample boundary of the batched
+// convolution forward is written back in two (or, for segments narrower
+// than nr, more) pieces.
+func (c *cOperand) writeback(acc []float32, nr int, alpha, beta float32, firstK bool, i, seg, col, mrr, nrr int) {
+	for done := 0; done < nrr; seg, col = seg+1, 0 {
+		w := min(nrr-done, c.segN-col)
+		writebackTile(acc[done:], nr, alpha, beta, firstK, c.c[seg*c.segStride+i*c.ldc+col:], c.ldc, mrr, w)
+		done += w
+	}
+}
+
 // writebackTile folds one accumulated micro-tile into C:
 // C = beta*C + alpha*acc on the first KC block, C += alpha*acc on the
-// rest. mrr/nrr clip edge tiles; acc rows are gemmNR wide. This is the
-// only code that writes C on the blocked path, shared by every
-// micro-kernel, which keeps edge and full tiles bit-identical.
-func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
+// rest. mrr/nrr clip edge tiles; acc rows are nr wide. This is the only
+// code that writes C on the blocked path, shared by every micro-kernel,
+// which keeps edge and full tiles bit-identical.
+func writebackTile(acc []float32, nr int, alpha, beta float32, firstK bool, c []float32, ldc, mrr, nrr int) {
 	for i := 0; i < mrr; i++ {
 		ci := c[i*ldc : i*ldc+nrr]
-		ai := acc[i*nr:]
+		ai := acc[i*nr : i*nr+nrr]
 		switch {
 		case !firstK:
 			for j := range ci {
@@ -253,41 +320,53 @@ func writebackTile(acc *[gemmMR * gemmNRMax]float32, nr int, alpha, beta float32
 // packA copies op(A)[ic:ic+mc, pc:pc+kc] into mr-tall micro-panels:
 // panel p holds rows [p*mr, p*mr+mr) as kc groups of mr contiguous
 // values, zero-padded when the block has fewer than mr rows left. The
-// zero padding is what lets edge tiles share the full micro-kernel.
+// zero padding is what lets edge tiles share the full micro-kernel. Full
+// panels, all but at most the last, copy each group of mr in one
+// bounds-checked step.
 func packA(dst []float32, transA Transpose, a []float32, lda, ic, mc, pc, kc int) {
 	idx := 0
 	for ir := 0; ir < mc; ir += gemmMR {
 		rows := min(gemmMR, mc-ir)
-		if transA == NoTrans {
-			base := (ic + ir) * lda
-			for l := 0; l < kc; l++ {
-				col := base + pc + l
-				for i := 0; i < rows; i++ {
-					dst[idx] = a[col+i*lda]
-					idx++
-				}
-				for i := rows; i < gemmMR; i++ {
-					dst[idx] = 0
-					idx++
-				}
+		switch {
+		case rows == gemmMR && transA == NoTrans:
+			r0 := a[(ic+ir)*lda+pc : (ic+ir)*lda+pc+kc]
+			r1 := a[(ic+ir+1)*lda+pc : (ic+ir+1)*lda+pc+kc]
+			r2 := a[(ic+ir+2)*lda+pc : (ic+ir+2)*lda+pc+kc]
+			r3 := a[(ic+ir+3)*lda+pc : (ic+ir+3)*lda+pc+kc]
+			for l := range r0 {
+				d := dst[idx : idx+gemmMR : idx+gemmMR]
+				d[0], d[1], d[2], d[3] = r0[l], r1[l], r2[l], r3[l]
+				idx += gemmMR
 			}
-		} else {
+		case rows == gemmMR:
 			// op(A)[i, l] = A[l, i]: row pc+l of the stored matrix is
-			// contiguous over i, so the pack is a strided gather of
-			// mr-length runs.
+			// contiguous over i, so each group is one 4-wide copy.
 			for l := 0; l < kc; l++ {
-				src := a[(pc+l)*lda+ic+ir:]
-				for i := 0; i < rows; i++ {
-					dst[idx] = src[i]
-					idx++
-				}
-				for i := rows; i < gemmMR; i++ {
+				src := a[(pc+l)*lda+ic+ir : (pc+l)*lda+ic+ir+gemmMR : (pc+l)*lda+ic+ir+gemmMR]
+				d := dst[idx : idx+gemmMR : idx+gemmMR]
+				d[0], d[1], d[2], d[3] = src[0], src[1], src[2], src[3]
+				idx += gemmMR
+			}
+		default:
+			for l := 0; l < kc; l++ {
+				for i := 0; i < gemmMR; i++ {
 					dst[idx] = 0
+					if i < rows {
+						dst[idx] = opA(transA, a, lda, ic+ir+i, pc+l)
+					}
 					idx++
 				}
 			}
 		}
 	}
+}
+
+// opA reads op(A)[i, l].
+func opA(transA Transpose, a []float32, lda, i, l int) float32 {
+	if transA == NoTrans {
+		return a[i*lda+l]
+	}
+	return a[l*lda+i]
 }
 
 // packB copies op(B)[pc:pc+kc, jc:jc+nc] into nr-wide micro-panels:

@@ -2,8 +2,7 @@ package blas
 
 // Im2col lowers a (channels, height, width) image into a column matrix so
 // that a convolution becomes a single Gemm, the standard lowering used by
-// Caffe's convolutional layers (and the basis of the cuDNN-analogue
-// "FineTuned" engine in this repository).
+// Caffe's convolutional layers.
 //
 // The output col has shape
 //
@@ -11,6 +10,10 @@ package blas
 //
 // stored row-major, where outH = (height + 2*padH - kernelH)/strideH + 1 and
 // similarly for outW. Elements read from the padding region are zero.
+//
+// The convolution layers never call it: GemmIm2col and GemmIm2colT read
+// the same matrix straight from the image into the GEMM's packed panels.
+// It stays as their test oracle and as the adjoint partner of Col2im.
 func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW, strideH, strideW int, col []float32) {
 	outH := ConvOutSize(height, kernelH, padH, strideH)
 	outW := ConvOutSize(width, kernelW, padW, strideW)
@@ -18,25 +21,26 @@ func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW,
 	for c := 0; c < channels; c++ {
 		chIm := im[c*height*width:]
 		for kh := 0; kh < kernelH; kh++ {
+			ohLo, ohHi := validRange(outH, height, kh, padH, strideH)
 			for kw := 0; kw < kernelW; kw++ {
+				owLo, owHi := validRange(outW, width, kw, padW, strideW)
 				for oh := 0; oh < outH; oh++ {
-					ih := oh*strideH - padH + kh
-					if ih < 0 || ih >= height {
-						for ow := 0; ow < outW; ow++ {
-							col[idx] = 0
-							idx++
-						}
+					row := col[idx : idx+outW]
+					idx += outW
+					if oh < ohLo || oh >= ohHi || owLo == owHi {
+						clear(row)
 						continue
 					}
-					rowBase := ih * width
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*strideW - padW + kw
-						if iw < 0 || iw >= width {
-							col[idx] = 0
-						} else {
-							col[idx] = chIm[rowBase+iw]
-						}
-						idx++
+					clear(row[:owLo])
+					clear(row[owHi:])
+					out := row[owLo:owHi]
+					src := chIm[(oh*strideH-padH+kh)*width+owLo*strideW-padW+kw:]
+					if strideW == 1 {
+						copy(out, src)
+						continue
+					}
+					for t := range out {
+						out[t] = src[t*strideW]
 					}
 				}
 			}
@@ -46,7 +50,9 @@ func Im2col(im []float32, channels, height, width, kernelH, kernelW, padH, padW,
 
 // Col2im is the adjoint of Im2col: it scatters (accumulating) the column
 // matrix back into an image. Used by the convolution backward pass to
-// build the gradient with respect to the layer input.
+// build the gradient with respect to the layer input. Each column-matrix
+// row adds into one image-row segment, clipped against the padding once;
+// the visiting order, and so the add order at every pixel, is Im2col's.
 //
 // The destination image is NOT zeroed first; callers accumulate into a
 // zeroed (or privatized) buffer.
@@ -57,22 +63,30 @@ func Col2im(col []float32, channels, height, width, kernelH, kernelW, padH, padW
 	for c := 0; c < channels; c++ {
 		chIm := im[c*height*width:]
 		for kh := 0; kh < kernelH; kh++ {
+			ohLo, ohHi := validRange(outH, height, kh, padH, strideH)
 			for kw := 0; kw < kernelW; kw++ {
-				for oh := 0; oh < outH; oh++ {
-					ih := oh*strideH - padH + kh
-					if ih < 0 || ih >= height {
-						idx += outW
+				owLo, owHi := validRange(outW, width, kw, padW, strideW)
+				if owLo == owHi {
+					idx += outH * outW
+					continue
+				}
+				idx += ohLo * outW
+				for oh := ohLo; oh < ohHi; oh++ {
+					in := col[idx+owLo : idx+owHi]
+					idx += outW
+					dst := chIm[(oh*strideH-padH+kh)*width+owLo*strideW-padW+kw:]
+					if strideW == 1 {
+						dst = dst[:len(in)]
+						for t, v := range in {
+							dst[t] += v
+						}
 						continue
 					}
-					rowBase := ih * width
-					for ow := 0; ow < outW; ow++ {
-						iw := ow*strideW - padW + kw
-						if iw >= 0 && iw < width {
-							chIm[rowBase+iw] += col[idx]
-						}
-						idx++
+					for t, v := range in {
+						dst[t*strideW] += v
 					}
 				}
+				idx += (outH - ohHi) * outW
 			}
 		}
 	}

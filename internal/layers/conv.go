@@ -78,10 +78,11 @@ func (c *ConvConfig) normalize() error {
 
 // Convolution is a 2-D convolutional layer (feature learning, §2.2.1).
 //
-// The sequential/coarse-grain implementation lowers each sample with
-// im2col and runs the convolution as GEMMs (conv_lowered.go); the
-// coalesced unit is one sample in both passes, and each worker
-// privatizes its column buffers. With ConvConfig.Direct it is instead the
+// The sequential/coarse-grain implementation runs the convolution as
+// GEMMs over the im2col view of its band of samples, packed straight
+// from the images (conv_lowered.go); the coalesced unit is one sample in
+// both passes, and each worker privatizes its packing scratch and dcol
+// buffer. With ConvConfig.Direct it is instead the
 // direct loop nest of Algorithm 2: the forward pass coalesces the two
 // outermost loops (sample, output channel) and computes each output
 // feature map independently; the backward pass coalesces over samples
@@ -103,16 +104,13 @@ type Convolution struct {
 
 	propagateDown bool
 
-	// Scratch for the tuned path, allocated on its first call: one column
-	// buffer (samples are processed serially in that path, parallelism is
-	// inside the GEMM), plus its backward twin holding dcol = W^T * dTop
-	// before col2im. Both persist across calls so the tuned hot path
-	// allocates nothing in steady state.
-	colBuf  []float32
-	dcolBuf []float32
-	// cols hands out per-worker private column buffers for the lowered
-	// path (Algorithm 4's object privatization).
-	cols colBuffers
+	// geom is the im2col geometry of one bottom sample, valid after
+	// Reshape; the lowered path hands it to the image-packed GEMMs.
+	geom blas.ConvGeom
+
+	// dcols hands out the per-worker dcol buffers of the lowered
+	// backward-data pass (Algorithm 4's object privatization).
+	dcols colBuffers
 }
 
 // NewConvolution creates a convolution layer. It returns an error for
@@ -164,8 +162,10 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 	if l.channels != l.params[0].Dim(1) {
 		panic(fmt.Sprintf("layer %s: channel count changed from %d to %d", l.name, l.params[0].Dim(1), l.channels))
 	}
-	l.outH = blas.ConvOutSize(l.height, l.cfg.KernelH, l.cfg.PadH, l.cfg.StrideH)
-	l.outW = blas.ConvOutSize(l.width, l.cfg.KernelW, l.cfg.PadW, l.cfg.StrideW)
+	l.geom = blas.ConvGeom{Channels: l.channels, Height: l.height, Width: l.width,
+		KernelH: l.cfg.KernelH, KernelW: l.cfg.KernelW, PadH: l.cfg.PadH, PadW: l.cfg.PadW,
+		StrideH: l.cfg.StrideH, StrideW: l.cfg.StrideW}
+	l.outH, l.outW = l.geom.OutH(), l.geom.OutW()
 	if l.outH <= 0 || l.outW <= 0 {
 		panic(fmt.Sprintf("layer %s: output size %dx%d not positive", l.name, l.outH, l.outW))
 	}
@@ -173,9 +173,9 @@ func (l *Convolution) Reshape(bottom, top []*blob.Blob) {
 }
 
 // ForwardExtent implements Layer: the lowered implementation's unit is
-// one im2col'd sample, so its extent is S; in the direct implementation
-// the (sample, output-channel) loops are coalesced, giving S*O small work
-// units (Algorithm 4's civ loop).
+// one sample (a worker's band is one GEMM), so its extent is S; in the
+// direct implementation the (sample, output-channel) loops are
+// coalesced, giving S*O small work units (Algorithm 4's civ loop).
 func (l *Convolution) ForwardExtent() int {
 	if l.cfg.Direct {
 		return l.num * l.cfg.NumOutput
@@ -415,32 +415,26 @@ func (l *Convolution) BackwardFine(p *par.Pool, bottom, top []*blob.Blob) {
 	}
 }
 
-// ForwardTuned implements TunedForwarder: the cuDNN analogue. Samples
-// are walked serially through the lowered forward body, with each GEMM's
-// rows split across the pool.
+// ForwardTuned implements TunedForwarder: the cuDNN analogue. The
+// lowered forward runs as one image-packed GEMM over the whole batch,
+// with its rows (output channels) split across the pool.
 func (l *Convolution) ForwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	col, _ := l.tunedBuffers()
-	l.forwardLowered(0, l.num, bottom[0], top[0], col, poolGemm(p))
+	p.ForTiles(l.cfg.NumOutput, blas.MicroTileRows, func(rlo, rhi, _ int) {
+		l.forwardLowered(nil, 0, l.num, rlo, rhi, bottom[0], top[0])
+	})
 }
 
 // BackwardTuned implements TunedBackwarder: the lowered backward body
-// (dW += dTop * col^T, dcol = W^T * dTop, col2im) per sample, with every
-// GEMM row-parallel.
+// (dW += dTop·im2col(x)ᵀ, dcol = Wᵀ·dTop, col2im) per sample, with
+// every GEMM row-parallel.
 func (l *Convolution) BackwardTuned(p *par.Pool, bottom, top []*blob.Blob) {
-	col, dcol := l.tunedBuffers()
-	l.backwardLowered(0, l.num, bottom[0], top[0], l.params, col, dcol, poolGemm(p))
-}
-
-// tunedBuffers sizes the tuned path's persistent column buffers to the
-// current geometry, allocating only when it grew.
-func (l *Convolution) tunedBuffers() (col, dcol []float32) {
-	n := l.colLen()
-	if cap(l.colBuf) < n {
-		l.colBuf = make([]float32, n)
-		l.dcolBuf = make([]float32, n)
+	var dcol []float32
+	if l.propagateDown {
+		b := l.dcols.get(l.geom.ColRows() * l.geom.ColCols())
+		defer l.dcols.put(b)
+		dcol = b.data
 	}
-	l.colBuf, l.dcolBuf = l.colBuf[:n], l.dcolBuf[:n]
-	return l.colBuf, l.dcolBuf
+	l.backwardLowered(nil, p, 0, l.num, bottom[0], top[0], l.params, dcol)
 }
 
 // ForwardFLOPs implements Coster: the direct convolution's multiply-add

@@ -8,25 +8,30 @@ import (
 	"coarsegrain/internal/par"
 )
 
-// The lowered convolution path: im2col + GEMM per sample, which is what
-// Caffe's CPU convolution actually does, and the default implementation
-// of every engine. The direct loop nest in conv.go models the
+// The lowered convolution path, the default implementation of every
+// engine: convolution as GEMM over the im2col view of the input, what
+// Caffe's CPU convolution does — but implicit, as cuDNN does it. The
+// GEMM packs its B panels straight from the image (blas.GemmIm2col,
+// blas.GemmIm2colT), so neither the forward pass nor the weight gradient
+// builds a column matrix. The direct loop nest in conv.go models the
 // "research-stage" code the paper's introduction motivates; it stays as
 // the test oracle and the paper-figure kernel (ConvConfig.Direct).
 //
-// Inside a coarse-grain parallel region every worker lowers its own
-// samples, so each needs a private column buffer — exactly the "object
-// privatization" step of Algorithm 4 (line 2). The buffers come from a
-// sync.Pool, which gives per-worker reuse without the layer knowing the
-// team size.
+// The forward pass runs one GEMM per band of samples, W · im2col(band);
+// the weight gradient runs one GEMM per sample, accumulating into dW
+// (folding samples into K would change the summation order). Only the
+// backward-data pass still materializes a matrix, dcol = Wᵀ·dTop, which
+// col2im scatters into the bottom gradient. Inside a coarse-grain
+// parallel region every worker needs its own dcol buffer — the "object
+// privatization" step of Algorithm 4 (line 2) — drawn from a sync.Pool,
+// which gives per-worker reuse without the layer knowing the team size.
 
 // colBuf wraps one pooled buffer. The pool stores these pointers rather
 // than []float32 values: boxing a slice header into the pool's
-// interface would allocate on every put, which the serving path's
-// zero-alloc steady state (SERVING.md) cannot afford.
+// interface would allocate on every put.
 type colBuf struct{ data []float32 }
 
-// colBuffers hands out column/scratch buffers of at least n floats.
+// colBuffers hands out column buffers of at least n floats.
 type colBuffers struct{ pool sync.Pool }
 
 func (c *colBuffers) get(n int) *colBuf {
@@ -43,87 +48,64 @@ func (c *colBuffers) get(n int) *colBuf {
 
 func (c *colBuffers) put(b *colBuf) { c.pool.Put(b) }
 
-// gemmCall is the GEMM a lowered pass issues: GemmWithScratch on a
-// worker's private packing scratch for the sequential/coarse engines
-// (scratchGemm), or GemmParallel on the pool for the tuned
-// (cuDNN-analogue) engine, which walks samples serially and splits each
-// GEMM's rows instead (poolGemm). Both inline, so the closures stay on
-// the stack.
-type gemmCall func(transA, transB blas.Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int)
-
-func scratchGemm(gs *blas.GemmScratch) gemmCall {
-	return func(ta, tb blas.Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-		blas.GemmWithScratch(gs, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	}
-}
-
-func poolGemm(p *par.Pool) gemmCall {
-	return func(ta, tb blas.Transpose, m, n, k int, alpha float32, a []float32, lda int, b []float32, ldb int, beta float32, c []float32, ldc int) {
-		blas.GemmParallel(p, ta, tb, m, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
-	}
-}
-
-// forwardLoweredRange computes samples [lo, hi) via im2col+GEMM. One
-// GemmScratch serves the whole band: the packed-panel buffers of the
-// blocked kernel are reused sample to sample (the GEMM shape is constant
-// across the band), exactly like the column buffer.
+// forwardLoweredRange computes samples [lo, hi) as one image-packed GEMM
+// on the worker's private packing scratch.
 func (l *Convolution) forwardLoweredRange(lo, hi int, bottom, top *blob.Blob) {
-	cb := l.cols.get(l.colLen())
-	defer l.cols.put(cb)
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	l.forwardLowered(lo, hi, bottom, top, cb.data, scratchGemm(gs))
+	l.forwardLowered(gs, lo, hi, 0, l.cfg.NumOutput, bottom, top)
 }
 
-// backwardLoweredRange computes gradients for samples [lo, hi), each
-// worker with private column buffers and packing scratch. Parameter
-// gradients accumulate into the (possibly privatized) paramGrads blobs.
+// backwardLoweredRange computes gradients for samples [lo, hi) with a
+// private packing scratch and, when the bottom gradient is wanted, a
+// private dcol buffer. Parameter gradients accumulate into the (possibly
+// privatized) paramGrads blobs.
 func (l *Convolution) backwardLoweredRange(lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob) {
-	cb := l.cols.get(l.colLen())
-	defer l.cols.put(cb)
-	dcb := l.cols.get(l.colLen())
-	defer l.cols.put(dcb)
 	gs := blas.GetScratch()
 	defer blas.PutScratch(gs)
-	l.backwardLowered(lo, hi, bottom, top, paramGrads, cb.data, dcb.data, scratchGemm(gs))
+	var dcol []float32
+	if l.propagateDown {
+		b := l.dcols.get(l.geom.ColRows() * l.geom.ColCols())
+		defer l.dcols.put(b)
+		dcol = b.data
+	}
+	l.backwardLowered(gs, nil, lo, hi, bottom, top, paramGrads, dcol)
 }
 
-// colLen is the length of one sample's column matrix, CKK x OHW.
-func (l *Convolution) colLen() int {
-	return l.channels * l.cfg.KernelH * l.cfg.KernelW * l.outH * l.outW
-}
-
-// forwardLowered is the per-sample body shared by both lowered engines:
-// im2col, then W (O x CKK) * col (CKK x OHW) through gemm, then the bias.
-func (l *Convolution) forwardLowered(lo, hi int, bottom, top *blob.Blob, col []float32, gemm gemmCall) {
+// forwardLowered is the forward body shared by both lowered engines:
+// rows [rowLo, rowHi) of top = W · im2col(bottom) + bias for samples
+// [lo, hi), as one GEMM over the band. The coarse engines pass their
+// worker's scratch and all rows; the tuned engine splits the rows across
+// its pool, each band borrowing pooled scratch (gs == nil).
+func (l *Convolution) forwardLowered(gs *blas.GemmScratch, lo, hi, rowLo, rowHi int, bottom, top *blob.Blob) {
 	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
 	ohw := l.outH * l.outW
-	chw := l.channels * l.height * l.width
-	w := l.params[0].Data()
-	for s := lo; s < hi; s++ {
-		im := bottom.Data()[s*chw:]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		out := top.Data()[s*o*ohw : (s+1)*o*ohw]
-		gemm(blas.NoTrans, blas.NoTrans, o, ohw, ckk, 1, w, ckk, col, ohw, 0, out, ohw)
-		if !l.cfg.NoBias {
-			bias := l.params[1].Data()
-			for oc := 0; oc < o; oc++ {
-				blas.AddScalar(out[oc*ohw:(oc+1)*ohw], bias[oc])
-			}
+	chw := l.geom.ImageLen()
+	out := top.Data()[lo*o*ohw : hi*o*ohw]
+	blas.GemmIm2col(gs, &l.geom, hi-lo, o, 1, l.params[0].Data(), l.geom.ColRows(),
+		bottom.Data()[lo*chw:hi*chw], 0, out, rowLo, rowHi)
+	if l.cfg.NoBias {
+		return
+	}
+	bias := l.params[1].Data()
+	for s := 0; s < hi-lo; s++ {
+		for oc := rowLo; oc < rowHi; oc++ {
+			blas.AddScalar(out[(s*o+oc)*ohw:(s*o+oc+1)*ohw], bias[oc])
 		}
 	}
 }
 
 // backwardLowered is the per-sample backward body shared by both lowered
-// engines: dW += dTop·colᵀ, the bias sum, dcol = Wᵀ·dTop, then col2im
-// scatters dcol into the bottom gradient.
-func (l *Convolution) backwardLowered(lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob, col, dcol []float32, gemm gemmCall) {
+// engines: dW += dTop·im2col(x)ᵀ, the bias sum, then (when propagating)
+// dcol = Wᵀ·dTop and col2im into the bottom gradient. With a nil pool
+// every GEMM runs on the caller with scratch gs (sequential and coarse
+// engines); the tuned engine passes its pool and each GEMM's rows are
+// split across it.
+func (l *Convolution) backwardLowered(gs *blas.GemmScratch, p *par.Pool, lo, hi int, bottom, top *blob.Blob, paramGrads []*blob.Blob, dcol []float32) {
 	o := l.cfg.NumOutput
-	ckk := l.channels * l.cfg.KernelH * l.cfg.KernelW
+	ckk := l.geom.ColRows()
 	ohw := l.outH * l.outW
-	chw := l.channels * l.height * l.width
+	chw := l.geom.ImageLen()
 	w := l.params[0].Data()
 	wGrad := paramGrads[0].Diff()
 	var bGrad []float32
@@ -131,11 +113,15 @@ func (l *Convolution) backwardLowered(lo, hi int, bottom, top *blob.Blob, paramG
 		bGrad = paramGrads[1].Diff()
 	}
 	for s := lo; s < hi; s++ {
-		im := bottom.Data()[s*chw:]
+		im := bottom.Data()[s*chw : (s+1)*chw]
 		outDiff := top.Diff()[s*o*ohw : (s+1)*o*ohw]
-		blas.Im2col(im, l.channels, l.height, l.width, l.cfg.KernelH, l.cfg.KernelW,
-			l.cfg.PadH, l.cfg.PadW, l.cfg.StrideH, l.cfg.StrideW, col)
-		gemm(blas.NoTrans, blas.Trans, o, ckk, ohw, 1, outDiff, ohw, col, ohw, 1, wGrad, ckk)
+		if p == nil {
+			blas.GemmIm2colT(gs, &l.geom, o, 1, outDiff, ohw, im, 1, wGrad, ckk, 0, o)
+		} else {
+			p.ForTiles(o, blas.MicroTileRows, func(rlo, rhi, _ int) {
+				blas.GemmIm2colT(nil, &l.geom, o, 1, outDiff, ohw, im, 1, wGrad, ckk, rlo, rhi)
+			})
+		}
 		if bGrad != nil {
 			for oc := 0; oc < o; oc++ {
 				var sum float32
@@ -148,7 +134,11 @@ func (l *Convolution) backwardLowered(lo, hi int, bottom, top *blob.Blob, paramG
 		if !l.propagateDown {
 			continue
 		}
-		gemm(blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
+		if p == nil {
+			blas.GemmWithScratch(gs, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
+		} else {
+			blas.GemmParallel(p, blas.Trans, blas.NoTrans, ckk, ohw, o, 1, w, ckk, outDiff, ohw, 0, dcol, ohw)
+		}
 		inDiff := bottom.Diff()[s*chw : (s+1)*chw]
 		for i := range inDiff {
 			inDiff[i] = 0

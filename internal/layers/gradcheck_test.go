@@ -192,14 +192,19 @@ func TestGradPoolingMax(t *testing.T) {
 	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, false, 1e-3, 2e-2)
 }
 
+// TestGradPoolingAve covers windows inside the input (5x5) and ceil-mode
+// windows that overhang it (6x6, and 6x6 with pad 1), whose Caffe
+// divisor is the window clipped to the padded input.
 func TestGradPoolingAve(t *testing.T) {
 	r := rng.New(5, 10)
-	l, err := NewPooling("p", PoolConfig{Method: AvePool, Kernel: 3, Stride: 2})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct{ size, pad int }{{5, 0}, {6, 0}, {6, 1}} {
+		l, err := NewPooling("p", PoolConfig{Method: AvePool, Kernel: 3, Stride: 2, Pad: tc.pad})
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := randomBlob(r, -1, 1, 2, 2, tc.size, tc.size)
+		gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, false, 1e-2, 2e-2)
 	}
-	bottom := randomBlob(r, -1, 1, 2, 2, 5, 5)
-	gradCheck(t, l, []*blob.Blob{bottom}, []bool{true}, false, 1e-2, 2e-2)
 }
 
 func TestGradInnerProduct(t *testing.T) {

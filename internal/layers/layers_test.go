@@ -236,6 +236,81 @@ func TestAvePoolForward(t *testing.T) {
 	almostEq(t, tops[0].Data()[0], 2.5, 1e-6, "ave pool")
 }
 
+// TestAvePoolOverhangDivisor pins Caffe's AVE divisor: the window clipped
+// to the padded input. On 3x3 with 2/2 the ceil-mode windows of the last
+// row and column overhang the input and average over the elements they
+// cover; with pad 1 the padding still counts.
+func TestAvePoolOverhangDivisor(t *testing.T) {
+	im := []float32{
+		1, 2, 3,
+		4, 5, 6,
+		7, 8, 9,
+	}
+	for _, tc := range []struct {
+		cfg     PoolConfig
+		fwd     []float32
+		bwd     []float32 // bottom diff for an all-ones top diff
+		comment string
+	}{
+		{PoolConfig{Method: AvePool, Kernel: 2, Stride: 2},
+			[]float32{3, 4.5, 7.5, 9},
+			[]float32{0.25, 0.25, 0.5, 0.25, 0.25, 0.5, 0.5, 0.5, 1},
+			"overhang divides by the covered extent"},
+		{PoolConfig{Method: AvePool, Kernel: 1, Stride: 2, Pad: 1},
+			[]float32{0, 0, 0, 5},
+			[]float32{0, 0, 0, 0, 1, 0, 0, 0, 0},
+			"a window wholly in the padding averages nothing"},
+		{PoolConfig{Method: AvePool, Kernel: 3, Stride: 2, Pad: 1},
+			[]float32{12.0 / 9, 16.0 / 9, 24.0 / 9, 28.0 / 9},
+			[]float32{1.0 / 9, 2.0 / 9, 1.0 / 9, 2.0 / 9, 4.0 / 9, 2.0 / 9, 1.0 / 9, 2.0 / 9, 1.0 / 9},
+			"padding inside the padded input counts"},
+	} {
+		l, err := NewPooling("p", tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bottom := blob.New(1, 1, 3, 3)
+		copy(bottom.Data(), im)
+		tops := setup(t, l, []*blob.Blob{bottom})
+		runForward(l, []*blob.Blob{bottom}, tops)
+		for i, w := range tc.fwd {
+			almostEq(t, tops[0].Data()[i], w, 1e-6, tc.comment+" (forward)")
+		}
+		for i := range tops[0].Diff() {
+			tops[0].Diff()[i] = 1
+		}
+		l.BackwardRange(0, l.BackwardExtent(), []*blob.Blob{bottom}, tops, nil)
+		for i, w := range tc.bwd {
+			almostEq(t, bottom.Diff()[i], w, 1e-6, tc.comment+" (backward)")
+		}
+	}
+}
+
+// TestMaxPoolSelectionSemantics pins the branch-free argmax to the plain
+// "if v > best" loop: the first maximum wins ties, NaN is never selected,
+// and an all-NaN window gives -Inf with mask -1.
+func TestMaxPoolSelectionSemantics(t *testing.T) {
+	nan := float32(math.NaN())
+	l, err := NewPooling("p", PoolConfig{Method: MaxPool, Kernel: 2, Stride: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bottom := blob.New(1, 1, 2, 8)
+	copy(bottom.Data(), []float32{
+		7, 3, nan, 1, nan, nan, 0, float32(math.Copysign(0, -1)),
+		2, 7, 5, nan, nan, nan, float32(math.Copysign(0, -1)), 0,
+	})
+	tops := setup(t, l, []*blob.Blob{bottom})
+	runForward(l, []*blob.Blob{bottom}, tops)
+	wantVal := []float32{7, 5, float32(math.Inf(-1)), 0}
+	wantIdx := []int32{0, 10, -1, 6}
+	for i := range wantVal {
+		if got := tops[0].Data()[i]; math.Float32bits(got) != math.Float32bits(wantVal[i]) || l.mask[i] != wantIdx[i] {
+			t.Fatalf("window %d: got %v at %d, want %v at %d", i, got, l.mask[i], wantVal[i], wantIdx[i])
+		}
+	}
+}
+
 func TestPoolFineMatchesSeq(t *testing.T) {
 	r := rng.New(4, 1)
 	for _, m := range []PoolMethod{MaxPool, AvePool} {

@@ -144,45 +144,66 @@ func (l *Pooling) ForwardRange(lo, hi int, bottom, top []*blob.Blob) {
 
 // forwardPlane pools one (s,c) plane. plane is the flattened (s*C + c).
 func (l *Pooling) forwardPlane(plane int, bottom, top *blob.Blob) {
-	in := bottom.Data()[plane*l.height*l.width:]
-	out := top.Data()[plane*l.outH*l.outW:]
-	var mask []int32
+	in := bottom.Data()[plane*l.height*l.width : (plane+1)*l.height*l.width]
+	out := top.Data()[plane*l.outH*l.outW : (plane+1)*l.outH*l.outW]
 	if l.cfg.Method == MaxPool {
-		mask = l.mask[plane*l.outH*l.outW:]
+		l.maxPlane(in, out, l.mask[plane*l.outH*l.outW:(plane+1)*l.outH*l.outW])
+		return
 	}
 	for oh := 0; oh < l.outH; oh++ {
-		hs := oh*l.cfg.StrideH - l.cfg.PadH
-		he := min(hs+l.cfg.KernelH, l.height)
-		hs = max(hs, 0)
+		hs, he, hp := l.window(oh, l.cfg.StrideH, l.cfg.PadH, l.cfg.KernelH, l.height)
 		for ow := 0; ow < l.outW; ow++ {
-			ws := ow*l.cfg.StrideW - l.cfg.PadW
-			we := min(ws+l.cfg.KernelW, l.width)
-			ws = max(ws, 0)
-			oidx := oh*l.outW + ow
-			switch l.cfg.Method {
-			case MaxPool:
-				best := float32(math.Inf(-1))
-				bestIdx := int32(-1)
-				for ih := hs; ih < he; ih++ {
-					for iw := ws; iw < we; iw++ {
-						if v := in[ih*l.width+iw]; v > best {
-							best = v
-							bestIdx = int32(ih*l.width + iw)
-						}
-					}
+			ws, we, wp := l.window(ow, l.cfg.StrideW, l.cfg.PadW, l.cfg.KernelW, l.width)
+			var sum float32
+			for ih := hs; ih < he; ih++ {
+				for _, v := range in[ih*l.width+ws : ih*l.width+we] {
+					sum += v
 				}
-				out[oidx] = best
-				mask[oidx] = bestIdx
-			case AvePool:
-				// Caffe AVE divides by the full (padded) window size.
-				var sum float32
-				for ih := hs; ih < he; ih++ {
-					for iw := ws; iw < we; iw++ {
-						sum += in[ih*l.width+iw]
-					}
-				}
-				out[oidx] = sum / float32(l.cfg.KernelH*l.cfg.KernelW)
 			}
+			out[oh*l.outW+ow] = sum / float32(hp*wp)
+		}
+	}
+}
+
+// window returns, for output position o along one axis, the input range
+// [start, end) the pooling window covers (empty for a window wholly in
+// the padding) and the divisor extent of a
+// Caffe AVE window: the window clipped to the padded input, so a
+// ceil-mode window overhanging the input divides by fewer elements
+// (Caffe PoolingLayer: pool_size from min(start+kernel, in+pad) before
+// clipping to the input).
+func (l *Pooling) window(o, stride, pad, kernel, in int) (start, end, extent int) {
+	start = o*stride - pad
+	end = min(start+kernel, in+pad)
+	extent = end - start
+	start = max(start, 0)
+	return start, max(min(end, in), start), extent
+}
+
+// maxPlane is MAX pooling over one plane. The argmax update is
+// branch-free: the v > best test only selects which bits and index carry
+// forward (a conditional move), because a data-dependent branch there
+// mispredicts on every other element. The semantics are the plain
+// "if v > best" loop's: the first maximum wins ties, a NaN is never
+// selected, and an all-NaN or empty window gives -Inf with mask -1.
+func (l *Pooling) maxPlane(in, out []float32, mask []int32) {
+	negInf := math.Float32bits(float32(math.Inf(-1)))
+	for oh := 0; oh < l.outH; oh++ {
+		hs, he, _ := l.window(oh, l.cfg.StrideH, l.cfg.PadH, l.cfg.KernelH, l.height)
+		for ow := 0; ow < l.outW; ow++ {
+			ws, we, _ := l.window(ow, l.cfg.StrideW, l.cfg.PadW, l.cfg.KernelW, l.width)
+			bestBits, bestIdx := negInf, int32(-1)
+			for ih := hs; ih < he; ih++ {
+				row := in[ih*l.width+ws : ih*l.width+we]
+				for t, v := range row {
+					vBits, idx := math.Float32bits(v), int32(ih*l.width+ws+t)
+					if v > math.Float32frombits(bestBits) {
+						bestBits, bestIdx = vBits, idx
+					}
+				}
+			}
+			out[oh*l.outW+ow] = math.Float32frombits(bestBits)
+			mask[oh*l.outW+ow] = bestIdx
 		}
 	}
 }
@@ -219,17 +240,15 @@ func (l *Pooling) backwardPlane(plane int, bottom, top *blob.Blob) {
 			}
 		}
 	case AvePool:
-		scale := 1 / float32(l.cfg.KernelH*l.cfg.KernelW)
 		for oh := 0; oh < l.outH; oh++ {
-			hs := max(oh*l.cfg.StrideH-l.cfg.PadH, 0)
-			he := min(oh*l.cfg.StrideH-l.cfg.PadH+l.cfg.KernelH, l.height)
+			hs, he, hp := l.window(oh, l.cfg.StrideH, l.cfg.PadH, l.cfg.KernelH, l.height)
 			for ow := 0; ow < l.outW; ow++ {
-				ws := max(ow*l.cfg.StrideW-l.cfg.PadW, 0)
-				we := min(ow*l.cfg.StrideW-l.cfg.PadW+l.cfg.KernelW, l.width)
-				g := outDiff[oh*l.outW+ow] * scale
+				ws, we, wp := l.window(ow, l.cfg.StrideW, l.cfg.PadW, l.cfg.KernelW, l.width)
+				g := outDiff[oh*l.outW+ow] / float32(hp*wp)
 				for ih := hs; ih < he; ih++ {
-					for iw := ws; iw < we; iw++ {
-						inDiff[ih*l.width+iw] += g
+					row := inDiff[ih*l.width+ws : ih*l.width+we]
+					for i := range row {
+						row[i] += g
 					}
 				}
 			}

@@ -68,3 +68,26 @@ func gemmTile(a, b, c []float32) {
 		c[i] = a[i] * b[i]
 	}
 }
+
+// packPanel stands in for an image packer that builds its panel per
+// call instead of writing into the caller's scratch.
+func packPanel(n int) []float32 {
+	return make([]float32, n)
+}
+
+// packPanelInto is the scratch-fed packer: allocation-free.
+func packPanelInto(dst []float32, v float32) {
+	for i := range dst {
+		dst[i] = v
+	}
+}
+
+// GemmIm2col is hot by name, like blas's image-packed convolution GEMM:
+// the packer it calls once per KC block is checked through the call.
+func GemmIm2col(k int, scratch, c []float32) {
+	for pc := 0; pc < k; pc += 4 {
+		bp := packPanel(16) // want `call to packPanel in a loop of hot function GemmIm2col allocates per iteration \(make at hotcall\.go`
+		packPanelInto(scratch, bp[0])
+		c[pc%len(c)] += scratch[0]
+	}
+}

@@ -9,6 +9,10 @@ package serve
 import (
 	"testing"
 	"time"
+
+	"coarsegrain/internal/layers"
+	"coarsegrain/internal/net"
+	"coarsegrain/internal/zoo"
 )
 
 // TestSteadyStateAllocationFree measures the whole request path —
@@ -34,5 +38,34 @@ func TestSteadyStateAllocationFree(t *testing.T) {
 	})
 	if allocs > 0 {
 		t.Fatalf("steady-state request path allocates %.1f objects per request, want 0", allocs)
+	}
+}
+
+// TestLeNetSteadyStateAllocationFree is the same check on the zoo LeNet
+// that dnnserve serves by default: both lowered convolutions, both
+// pools and the inner products on the request path.
+func TestLeNetSteadyStateAllocationFree(t *testing.T) {
+	cfg := testConfig(4, 200*time.Microsecond)
+	cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
+		return zoo.Build("lenet", src, zoo.Options{Seed: 3})
+	}
+	cfg.ScoreBlob = "ip2"
+	s := newTestServer(t, cfg)
+	s.Start()
+	r := s.Acquire()
+	defer s.Release(r)
+	fillSample(r.Input(), 1)
+	for i := 0; i < 8; i++ {
+		if err := s.Do(r); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if err := s.Do(r); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 0 {
+		t.Fatalf("LeNet steady-state request path allocates %.1f objects per request, want 0", allocs)
 	}
 }

@@ -2,10 +2,13 @@
 # check.sh — the repository's pre-commit gate: vet, build, dnnlint (the
 # determinism/parallelism contract linter; LINTING.md is the canonical
 # catalogue of its analyzers and this script's self-tests follow its
-# order), the full test suite (including Example tests), race-detector
-# passes over the parallel substrate (the BLAS band kernels, the worker
-# pool, the span tracer, the layers with their per-worker pooled column
-# buffers, the instrumented net loop, the coarse engine, the zoo nets'
+# order), the full test suite (including Example tests), a bounded fuzz
+# run of the image-packed convolution GEMM against explicit im2col, a
+# one-iteration run of BenchmarkConvLowered so the benchmark cannot rot,
+# race-detector passes over the parallel substrate (the BLAS band
+# kernels, the worker pool, the span tracer, the layers with their
+# per-worker packing scratch and dcol buffers, the instrumented net
+# loop, the coarse engine, the zoo nets'
 # determinism sweep and the serving layer), the reduction determinism sweep (the
 # element-parallel ordered merge must stay bit-identical to the serial
 # ordered merge at every worker count) plus a dedicated race pass over
@@ -72,6 +75,12 @@ go test ./...
 
 echo "== go test -run Example (doc examples) =="
 go test -run Example ./...
+
+echo "== fuzz: image-packed GEMM panels bit-equal to explicit im2col (bounded) =="
+go test -run '^$' -fuzz '^FuzzIm2colPack$' -fuzztime 5s ./internal/blas
+
+echo "== benchmark smoke: BenchmarkConvLowered, explicit vs image-packed (1 iteration) =="
+go test -run '^$' -bench '^BenchmarkConvLowered$' -benchtime 1x ./internal/blas >/dev/null
 
 echo "== go test -race (blas, par, trace, layers, net, core, zoo, guard, faultinject, serve, transport, dist) =="
 go test -race -count=1 ./internal/blas ./internal/par ./internal/trace ./internal/layers ./internal/net \
