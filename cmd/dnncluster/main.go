@@ -43,7 +43,6 @@ import (
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/simtime"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/solver"
@@ -61,15 +60,13 @@ type config struct {
 	iters    int
 	display  int
 
-	model   string
-	zooName string
+	model   *zoo.Model // resolved from -model, -zoo and -dataset
 	engine  string
 	workers int
 	batch   int
 	samples int
 	seed    uint64
 	dataDir string
-	dataset string
 
 	addr     string
 	addrFile string
@@ -103,6 +100,7 @@ type config struct {
 
 func main() {
 	var c config
+	var modelPath, zooName, dataset string
 	flag.StringVar(&c.role, "role", "local", "local | coordinator | worker")
 	flag.IntVar(&c.replicas, "replicas", 2, "total rank count (local and coordinator roles)")
 	flag.IntVar(&c.fanout, "fanout", 2, "reduction tree fan-out")
@@ -110,15 +108,15 @@ func main() {
 	flag.StringVar(&c.gradWire, "grad-wire", "f32", "gradient wire format: f32 | f16 | int8 (lossy formats use error feedback)")
 	flag.IntVar(&c.iters, "iters", 100, "training iterations")
 	flag.IntVar(&c.display, "display", 20, "print loss every N iterations (root only)")
-	flag.StringVar(&c.model, "model", "", "network prototxt file")
-	flag.StringVar(&c.zooName, "zoo", "lenet", "built-in network instead of -model: lenet | cifar10-full")
+	flag.StringVar(&modelPath, "model", "", "network prototxt file")
+	flag.StringVar(&zooName, "zoo", "lenet", "built-in network instead of -model: lenet | cifar10-full")
 	flag.StringVar(&c.engine, "engine", "sequential", "per-rank execution engine: sequential | coarse | fine | tuned")
 	flag.IntVar(&c.workers, "workers", 1, "per-rank engine worker count")
 	flag.IntVar(&c.batch, "batch", 0, "global batch size (split across replicas; default 64 MNIST / 100 CIFAR)")
 	flag.IntVar(&c.samples, "samples", 0, "synthetic dataset size (default: 32 global batches)")
 	flag.Uint64Var(&c.seed, "seed", 1, "weight/data seed (must match across all ranks)")
 	flag.StringVar(&c.dataDir, "data", "", "directory with real dataset files")
-	flag.StringVar(&c.dataset, "dataset", "", "force dataset: mnist | cifar (default inferred)")
+	flag.StringVar(&dataset, "dataset", "", "force dataset: mnist | cifar (default inferred)")
 	flag.StringVar(&c.addr, "addr", "", "coordinator: listen address (default 127.0.0.1:0); worker: coordinator address")
 	flag.StringVar(&c.addrFile, "addr-file", "", "coordinator: write rendezvous address here; worker: read it from here")
 	flag.StringVar(&c.snapPath, "snapshot", "", "root: write the final solver snapshot here (dnntrain-compatible)")
@@ -144,6 +142,13 @@ func main() {
 	flag.BoolVar(&c.predict, "predict", false, "run the simtime cluster model vs measured in-process scaling, then exit")
 	flag.Parse()
 
+	var err error
+	if c.model, err = zoo.Resolve(zooName, modelPath, dataset); err != nil {
+		fatal(err)
+	}
+	if c.batch <= 0 {
+		c.batch = c.model.Batch
+	}
 	if c.predict {
 		if err := runPredict(c); err != nil {
 			fatal(err)
@@ -151,7 +156,6 @@ func main() {
 		return
 	}
 
-	var err error
 	switch c.role {
 	case "local":
 		err = runLocal(c)
@@ -167,40 +171,11 @@ func main() {
 	}
 }
 
-// datasetName resolves the dataset the same way dnntrain does: explicit
-// flag wins, else inferred from the model reference.
-func (c config) datasetName() string {
-	if c.dataset != "" {
-		return c.dataset
-	}
-	if strings.Contains(c.zooName+c.model, "cifar") {
-		return "cifar"
-	}
-	return "mnist"
-}
-
-func (c config) globalBatch() int {
-	if c.batch > 0 {
-		return c.batch
-	}
-	if c.datasetName() == "cifar" {
-		return 100
-	}
-	return 64
-}
-
-func (c config) solverConfig() solver.Config {
-	if c.datasetName() == "cifar" {
-		return zoo.CIFARFullSolver()
-	}
-	return zoo.LeNetSolver()
-}
-
 // source builds the global sample stream every rank shards. The sample
 // count is rounded up to a whole number of global batches so shard
 // epochs align (a data.NewShard requirement).
 func (c config) source() (layers.Source, error) {
-	gb := c.globalBatch()
+	gb := c.batch
 	n := c.samples
 	if n <= 0 {
 		n = 32 * gb
@@ -208,13 +183,7 @@ func (c config) source() (layers.Source, error) {
 	if rem := n % gb; rem != 0 {
 		n += gb - rem
 	}
-	var src layers.Source
-	var real bool
-	if c.datasetName() == "cifar" {
-		src, real = data.LoadCIFAR10(c.dataDir, n, c.seed)
-	} else {
-		src, real = data.LoadMNIST(c.dataDir, n, c.seed)
-	}
+	src, real := c.model.Source(c.dataDir, n, c.seed)
 	if src.Len()%gb != 0 {
 		return nil, fmt.Errorf("dataset length %d not divisible by global batch %d (pick -batch or -samples accordingly)", src.Len(), gb)
 	}
@@ -222,7 +191,7 @@ func (c config) source() (layers.Source, error) {
 	if real {
 		kind = "real"
 	}
-	fmt.Printf("dataset: %s %s (%d samples, global batch %d)\n", kind, c.datasetName(), src.Len(), gb)
+	fmt.Printf("dataset: %s %s (%d samples, global batch %d)\n", kind, c.model.Dataset, src.Len(), gb)
 	return src, nil
 }
 
@@ -231,30 +200,15 @@ func (c config) source() (layers.Source, error) {
 // make the initial weights — and therefore the whole run — bitwise
 // reproducible.
 func (c config) buildRankNet(src layers.Source, r, k int) (*net.Net, core.Engine, error) {
-	shard, err := data.NewShard(src, r, k, c.globalBatch())
+	shard, err := data.NewShard(src, r, k, c.batch)
 	if err != nil {
 		return nil, nil, err
 	}
-	var specs []net.LayerSpec
-	switch {
-	case c.model != "":
-		raw, err := os.ReadFile(c.model)
-		if err != nil {
-			return nil, nil, err
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: shard, Seed: c.seed, BatchOverride: shard.LocalBatch(),
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-	default:
-		specs, err = zoo.Build(c.zooName, shard, zoo.Options{BatchSize: shard.LocalBatch(), Seed: c.seed})
-		if err != nil {
-			return nil, nil, err
-		}
+	specs, err := c.model.Build(shard, shard.LocalBatch(), c.seed, false)
+	if err != nil {
+		return nil, nil, err
 	}
-	eng, err := engineByName(c.engine, c.workers)
+	eng, err := core.ByName(c.engine, c.workers)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -387,7 +341,7 @@ func runElasticRank(c config, t transport.Transport, src layers.Source) error {
 			skipBatches(n, iter)
 			return n, nil
 		},
-		Solver:       c.solverConfig(),
+		Solver:       c.model.Solver,
 		Opts:         c.distOptions(),
 		StartIter:    startIter,
 		MinRanks:     c.minRanks,
@@ -516,7 +470,7 @@ func runRank(c config, t transport.Transport, n *net.Net) error {
 	var nd *dist.Node
 	var err error
 	if t.Rank() == 0 {
-		nd, err = dist.NewRoot(t, n, c.solverConfig(), opts)
+		nd, err = dist.NewRoot(t, n, c.model.Solver, opts)
 	} else {
 		nd, err = dist.NewWorker(t, n, opts)
 	}
@@ -742,7 +696,7 @@ func runPredict(c config) error {
 	if err != nil {
 		return err
 	}
-	s, err := solver.New(c.solverConfig(), n)
+	s, err := solver.New(c.model.Solver, n)
 	if err != nil {
 		eng.Close()
 		return err
@@ -782,8 +736,8 @@ func runPredict(c config) error {
 		{dist.TopologyRing, "int8"},
 	}
 	for _, k := range []int{2, 4} {
-		if c.globalBatch()%k != 0 {
-			fmt.Printf("%-9d skipped: global batch %d not divisible\n", k, c.globalBatch())
+		if c.batch%k != 0 {
+			fmt.Printf("%-9d skipped: global batch %d not divisible\n", k, c.batch)
 			continue
 		}
 		for _, combo := range combos {
@@ -831,7 +785,7 @@ func timeLocalRun(c config, src layers.Source, k, iters int) (time.Duration, err
 			var nd *dist.Node
 			var err error
 			if r == 0 {
-				nd, err = dist.NewRoot(group[r], nets[r], c.solverConfig(), c.distOptions())
+				nd, err = dist.NewRoot(group[r], nets[r], c.model.Solver, c.distOptions())
 			} else {
 				nd, err = dist.NewWorker(group[r], nets[r], c.distOptions())
 			}
@@ -850,21 +804,6 @@ func timeLocalRun(c config, src layers.Source, k, iters int) (time.Duration, err
 		}
 	}
 	return elapsed, nil
-}
-
-func engineByName(name string, workers int) (core.Engine, error) {
-	switch name {
-	case "sequential", "seq":
-		return core.NewSequential(), nil
-	case "coarse":
-		return core.NewCoarse(workers), nil
-	case "fine":
-		return core.NewFine(workers), nil
-	case "tuned":
-		return core.NewTuned(workers), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (sequential|coarse|fine|tuned)", name)
-	}
 }
 
 func fatal(err error) {

@@ -12,111 +12,96 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/metrics"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/snapshot"
 	"coarsegrain/internal/solver"
 	"coarsegrain/internal/zoo"
 )
 
+// options collects everything main parses from flags, so tests can call
+// run directly.
+type options struct {
+	Model, Zoo, Snapshot, DataDir, Scores string
+	Batches, Batch, Samples, Workers      int
+	Seed                                  uint64
+}
+
 func main() {
-	var (
-		model    = flag.String("model", "", "network prototxt file")
-		zooName  = flag.String("zoo", "", "built-in network: lenet | cifar10-full")
-		snapPath = flag.String("snapshot", "", "model or solver snapshot to evaluate (required)")
-		batches  = flag.Int("batches", 16, "test batches to average over")
-		batch    = flag.Int("batch", 0, "override batch size")
-		samples  = flag.Int("samples", 2048, "synthetic dataset size")
-		seed     = flag.Uint64("seed", 2, "seed for the synthetic test stream")
-		workers  = flag.Int("workers", 1, "coarse workers for the forward passes")
-		dataDir  = flag.String("data", "", "directory with real dataset files")
-		scores   = flag.String("scores", "", "score blob for the confusion matrix (default: ip2 for lenet, ip1 for cifar)")
-	)
+	var o options
+	flag.StringVar(&o.Model, "model", "", "network prototxt file")
+	flag.StringVar(&o.Zoo, "zoo", "", "built-in network: lenet | cifar10-full")
+	flag.StringVar(&o.Snapshot, "snapshot", "", "model or solver snapshot to evaluate (required)")
+	flag.IntVar(&o.Batches, "batches", 16, "test batches to average over")
+	flag.IntVar(&o.Batch, "batch", 0, "override batch size")
+	flag.IntVar(&o.Samples, "samples", 2048, "synthetic dataset size")
+	flag.Uint64Var(&o.Seed, "seed", 2, "seed for the synthetic test stream")
+	flag.IntVar(&o.Workers, "workers", 1, "coarse workers for the forward passes")
+	flag.StringVar(&o.DataDir, "data", "", "directory with real dataset files")
+	flag.StringVar(&o.Scores, "scores", "", "score blob for the confusion matrix (default: ip2 for lenet, ip1 for cifar)")
 	flag.Parse()
-	if *snapPath == "" {
-		fatal(fmt.Errorf("need -snapshot"))
-	}
 
-	ref := *zooName + *model
-	var src layers.Source
-	if strings.Contains(ref, "cifar") {
-		src, _ = data.LoadCIFAR10(*dataDir, *samples, *seed)
-	} else {
-		src, _ = data.LoadMNIST(*dataDir, *samples, *seed)
+	if err := run(o, os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "dnneval:", err)
+		os.Exit(1)
 	}
+}
 
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case *zooName != "":
-		specs, err = zoo.Build(*zooName, src, zoo.Options{BatchSize: *batch, Seed: *seed, Accuracy: true})
-	case *model != "":
-		raw, rerr := os.ReadFile(*model)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: *seed, BatchOverride: *batch,
-		})
-	default:
-		fatal(fmt.Errorf("need -model or -zoo"))
+// run evaluates the snapshot and writes the report to w.
+func run(o options, w io.Writer) error {
+	if o.Snapshot == "" {
+		return fmt.Errorf("need -snapshot")
 	}
+	m, err := zoo.Resolve(o.Zoo, o.Model, "")
 	if err != nil {
-		fatal(err)
+		return err
+	}
+	src, _ := m.Source(o.DataDir, o.Samples, o.Seed)
+	specs, err := m.Build(src, o.Batch, o.Seed, true)
+	if err != nil {
+		return err
 	}
 
-	eng := core.NewCoarse(*workers)
+	eng := core.NewCoarse(o.Workers)
 	defer eng.Close()
 	n, err := net.New(specs, eng)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	if err := snapshot.LoadNetFile(*snapPath, n); err != nil {
-		fatal(err)
+	if err := snapshot.LoadNetFile(o.Snapshot, n); err != nil {
+		return err
 	}
-	fmt.Printf("loaded %s into a %d-layer net; evaluating %d batches\n",
-		*snapPath, len(specs), *batches)
+	fmt.Fprintf(w, "loaded %s into a %d-layer net; evaluating %d batches\n",
+		o.Snapshot, len(specs), o.Batches)
 
 	outputs := []string{"loss"}
 	if _, err := n.Output("accuracy"); err == nil {
 		outputs = append(outputs, "accuracy")
 	}
-	res, err := solver.Evaluate(n, outputs, *batches)
+	res, err := solver.Evaluate(n, outputs, o.Batches)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("mean loss: %.6f\n", res["loss"])
+	fmt.Fprintf(w, "mean loss: %.6f\n", res["loss"])
 	if acc, ok := res["accuracy"]; ok {
-		fmt.Printf("mean accuracy: %.4f\n", acc)
+		fmt.Fprintf(w, "mean accuracy: %.4f\n", acc)
 	}
 
 	// Confusion matrix over the score blob, when one can be named.
-	sb := *scores
+	sb := o.Scores
 	if sb == "" {
-		switch {
-		case strings.Contains(*zooName, "lenet") || strings.Contains(*zooName, "mnist"):
-			sb = "ip2"
-		case strings.Contains(*zooName, "cifar"):
-			sb = "ip1"
-		}
+		sb = m.ScoreBlob
 	}
 	if sb != "" {
-		cm, err := metrics.Collect(n, sb, "label", *batches)
+		cm, err := metrics.Collect(n, sb, "label", o.Batches)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("\nconfusion matrix (%s vs label):\n%s", sb, cm)
+		fmt.Fprintf(w, "\nconfusion matrix (%s vs label):\n%s", sb, cm)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnneval:", err)
-	os.Exit(1)
+	return nil
 }

@@ -28,7 +28,6 @@ import (
 
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/serve"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
@@ -54,9 +53,6 @@ func main() {
 	flag.Parse()
 	if *snapPath == "" {
 		fatal(fmt.Errorf("need -snapshot (train one with: dnntrain -zoo lenet -iters 500 -snapshot model.cgdnn)"))
-	}
-	if *zooName == "" && *model == "" {
-		fatal(fmt.Errorf("need -model or -zoo"))
 	}
 
 	cfg, err := buildConfig(*zooName, *model, *scores, *shape, *classes, *seed)
@@ -125,25 +121,26 @@ func main() {
 	}
 }
 
-// buildConfig assembles the serve.Config for a zoo or prototxt model.
-// The builder's batch size is corrected to MaxBatch by the replica
+// buildConfig assembles the serve.Config for a zoo or prototxt model;
+// the flags override the zoo net's score blob, shape and classes. The
+// builder's batch size is corrected to MaxBatch by the replica
 // constructor, so the value passed here is irrelevant.
 func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed uint64) (serve.Config, error) {
-	cfg := serve.Config{Classes: classes, ScoreBlob: scoreBlob}
-	switch {
-	case strings.Contains(zooName, "lenet") || strings.Contains(zooName, "mnist"):
-		cfg.SampleShape = []int{1, 28, 28}
-		setDefault(&cfg, 10, "ip2")
-	case strings.Contains(zooName, "cifar"):
-		cfg.SampleShape = []int{3, 32, 32}
-		setDefault(&cfg, 10, "ip1")
+	m, err := zoo.Resolve(zooName, model, "")
+	if err != nil {
+		return serve.Config{}, err
+	}
+	cfg := serve.Config{Model: m.Name, ScoreBlob: scoreBlob, Classes: classes, SampleShape: m.SampleShape}
+	if cfg.ScoreBlob == "" {
+		cfg.ScoreBlob = m.ScoreBlob
+	}
+	if cfg.Classes == 0 {
+		cfg.Classes = m.Classes
 	}
 	if shapeFlag != "" {
-		shape, err := parseShape(shapeFlag)
-		if err != nil {
+		if cfg.SampleShape, err = parseShape(shapeFlag); err != nil {
 			return cfg, err
 		}
-		cfg.SampleShape = shape
 	}
 	if len(cfg.SampleShape) == 0 {
 		return cfg, fmt.Errorf("need -shape C,H,W for -model nets")
@@ -154,32 +151,10 @@ func buildConfig(zooName, model, scoreBlob, shapeFlag string, classes int, seed 
 	if cfg.ScoreBlob == "" {
 		return cfg, fmt.Errorf("need -scores for -model nets")
 	}
-	switch {
-	case zooName != "":
-		cfg.Model = zooName
-		cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
-			return zoo.Build(zooName, src, zoo.Options{Seed: seed})
-		}
-	default:
-		raw, err := os.ReadFile(model)
-		if err != nil {
-			return cfg, err
-		}
-		cfg.Model = model
-		cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
-			return prototxt.ParseNet(string(raw), prototxt.BuildOptions{Source: src, Seed: seed})
-		}
+	cfg.Build = func(src layers.Source) ([]net.LayerSpec, error) {
+		return m.Build(src, 0, seed, false)
 	}
 	return cfg, nil
-}
-
-func setDefault(cfg *serve.Config, classes int, scoreBlob string) {
-	if cfg.Classes == 0 {
-		cfg.Classes = classes
-	}
-	if cfg.ScoreBlob == "" {
-		cfg.ScoreBlob = scoreBlob
-	}
 }
 
 func parseShape(s string) ([]int, error) {

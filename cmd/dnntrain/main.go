@@ -32,15 +32,13 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/faultinject"
 	"coarsegrain/internal/guard"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/par"
 	"coarsegrain/internal/prototxt"
@@ -50,149 +48,152 @@ import (
 	"coarsegrain/internal/zoo"
 )
 
+// options collects everything main parses from flags, so tests can call
+// run directly.
+type options struct {
+	Model, SolverPath, Zoo, Engine          string
+	Workers, Iters, Display, Batch, Samples int
+	Seed                                    uint64
+	DataDir, Dataset                        string
+	Snapshot, Resume, TracePath             string
+
+	SnapEvery, SnapKeep int
+	SnapDir             string
+
+	GuardPolicy                  string
+	GuardMaxNorm, GuardLRBackoff float64
+	GuardEvery                   int
+
+	InjectSeed          uint64
+	InjectGradNaN       int
+	InjectCorruptResume bool
+}
+
 func main() {
-	var (
-		model    = flag.String("model", "", "network prototxt file")
-		solverP  = flag.String("solver", "", "solver prototxt file")
-		zooName  = flag.String("zoo", "", "built-in network instead of -model: lenet | cifar10-full")
-		engine   = flag.String("engine", "coarse", "execution engine: sequential | coarse | fine | tuned")
-		workers  = flag.Int("workers", 4, "worker count for parallel engines")
-		iters    = flag.Int("iters", 200, "training iterations")
-		display  = flag.Int("display", 20, "print loss every N iterations")
-		batch    = flag.Int("batch", 0, "override batch size")
-		samples  = flag.Int("samples", 2048, "synthetic dataset size")
-		seed     = flag.Uint64("seed", 1, "seed")
-		dataDir  = flag.String("data", "", "directory with real dataset files")
-		datasetF = flag.String("dataset", "", "force dataset: mnist | cifar (default inferred)")
-		snapPath = flag.String("snapshot", "", "write a solver snapshot here when training ends")
-		resume   = flag.String("resume", "", "resume from a snapshot file, or from the newest valid checkpoint in a directory")
-		tracePth = flag.String("trace", "", "write a Chrome trace-event JSON (chrome://tracing / Perfetto) of the run here")
+	var o options
+	flag.StringVar(&o.Model, "model", "", "network prototxt file")
+	flag.StringVar(&o.SolverPath, "solver", "", "solver prototxt file")
+	flag.StringVar(&o.Zoo, "zoo", "", "built-in network instead of -model: lenet | cifar10-full")
+	flag.StringVar(&o.Engine, "engine", "coarse", "execution engine: sequential | coarse | fine | tuned")
+	flag.IntVar(&o.Workers, "workers", 4, "worker count for parallel engines")
+	flag.IntVar(&o.Iters, "iters", 200, "training iterations")
+	flag.IntVar(&o.Display, "display", 20, "print loss every N iterations")
+	flag.IntVar(&o.Batch, "batch", 0, "override batch size")
+	flag.IntVar(&o.Samples, "samples", 2048, "synthetic dataset size")
+	flag.Uint64Var(&o.Seed, "seed", 1, "seed")
+	flag.StringVar(&o.DataDir, "data", "", "directory with real dataset files")
+	flag.StringVar(&o.Dataset, "dataset", "", "force dataset: mnist | cifar (default inferred)")
+	flag.StringVar(&o.Snapshot, "snapshot", "", "write a solver snapshot here when training ends")
+	flag.StringVar(&o.Resume, "resume", "", "resume from a snapshot file, or from the newest valid checkpoint in a directory")
+	flag.StringVar(&o.TracePath, "trace", "", "write a Chrome trace-event JSON (chrome://tracing / Perfetto) of the run here")
 
-		snapEvery = flag.Int("snapshot-every", 0, "write a checkpoint to -snapshot-dir every N iterations (0 = off)")
-		snapDir   = flag.String("snapshot-dir", "", "checkpoint directory for -snapshot-every and guard rollbacks")
-		snapKeep  = flag.Int("snapshot-keep", 3, "retain only the newest K checkpoints (0 = keep all)")
+	flag.IntVar(&o.SnapEvery, "snapshot-every", 0, "write a checkpoint to -snapshot-dir every N iterations (0 = off)")
+	flag.StringVar(&o.SnapDir, "snapshot-dir", "", "checkpoint directory for -snapshot-every and guard rollbacks")
+	flag.IntVar(&o.SnapKeep, "snapshot-keep", 3, "retain only the newest K checkpoints (0 = keep all)")
 
-		guardPol     = flag.String("guard-policy", "off", "training health monitor: off | halt | skip | rollback")
-		guardNorm    = flag.Float64("guard-max-norm", 0, "fault when the gradient L2 norm exceeds this (0 = NaN/Inf checks only)")
-		guardBackoff = flag.Float64("guard-lr-backoff", 0.5, "learning-rate multiplier applied on each guard rollback")
-		guardEvery   = flag.Int("guard-every", 1, "run the guard scan every N iterations")
+	flag.StringVar(&o.GuardPolicy, "guard-policy", "off", "training health monitor: off | halt | skip | rollback")
+	flag.Float64Var(&o.GuardMaxNorm, "guard-max-norm", 0, "fault when the gradient L2 norm exceeds this (0 = NaN/Inf checks only)")
+	flag.Float64Var(&o.GuardLRBackoff, "guard-lr-backoff", 0.5, "learning-rate multiplier applied on each guard rollback")
+	flag.IntVar(&o.GuardEvery, "guard-every", 1, "run the guard scan every N iterations")
 
-		injectSeed    = flag.Uint64("inject-seed", 1, "fault-injection seed (deterministic drills)")
-		injectNaN     = flag.Int("inject-grad-nan", -1, "fault drill: poison one gradient value with NaN at this iteration")
-		injectCorrupt = flag.Bool("inject-corrupt-resume", false, "fault drill: corrupt the newest checkpoint before resuming")
-	)
+	flag.Uint64Var(&o.InjectSeed, "inject-seed", 1, "fault-injection seed (deterministic drills)")
+	flag.IntVar(&o.InjectGradNaN, "inject-grad-nan", -1, "fault drill: poison one gradient value with NaN at this iteration")
+	flag.BoolVar(&o.InjectCorruptResume, "inject-corrupt-resume", false, "fault drill: corrupt the newest checkpoint before resuming")
 	flag.Parse()
 
-	// Pick the dataset: explicit flag, else infer from the model name.
-	dataset := *datasetF
-	if dataset == "" {
-		ref := *zooName + *model
-		if strings.Contains(ref, "cifar") {
-			dataset = "cifar"
-		} else {
-			dataset = "mnist"
-		}
+	// SIGINT requests a graceful stop: finish the current chunk, write a
+	// checkpoint, exit cleanly.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt)
+	if err := run(o, os.Stdout, sigc); err != nil {
+		fmt.Fprintln(os.Stderr, "dnntrain:", err)
+		os.Exit(1)
 	}
-	var src layers.Source
-	var real bool
-	if dataset == "cifar" {
-		src, real = data.LoadCIFAR10(*dataDir, *samples, *seed)
-	} else {
-		src, real = data.LoadMNIST(*dataDir, *samples, *seed)
+}
+
+// run trains as o describes and writes the log to w. A value on
+// interrupt stops training after the current chunk and checkpoints; a
+// nil channel never interrupts.
+func run(o options, w io.Writer, interrupt <-chan os.Signal) error {
+	m, err := zoo.Resolve(o.Zoo, o.Model, o.Dataset)
+	if err != nil {
+		return err
 	}
+	src, real := m.Source(o.DataDir, o.Samples, o.Seed)
 	if real {
-		fmt.Printf("dataset: real %s (%d samples)\n", dataset, src.Len())
+		fmt.Fprintf(w, "dataset: real %s (%d samples)\n", m.Dataset, src.Len())
 	} else {
-		fmt.Printf("dataset: synthetic %s (%d samples)\n", dataset, src.Len())
+		fmt.Fprintf(w, "dataset: synthetic %s (%d samples)\n", m.Dataset, src.Len())
+	}
+	specs, err := m.Build(src, o.Batch, o.Seed, true)
+	if err != nil {
+		return err
 	}
 
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case *zooName != "":
-		specs, err = zoo.Build(*zooName, src, zoo.Options{BatchSize: *batch, Seed: *seed, Accuracy: true})
-	case *model != "":
-		raw, rerr := os.ReadFile(*model)
-		if rerr != nil {
-			fatal(rerr)
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: *seed, BatchOverride: *batch,
-		})
-	default:
-		fatal(fmt.Errorf("need -model or -zoo"))
-	}
+	eng, err := core.ByName(o.Engine, o.Workers)
 	if err != nil {
-		fatal(err)
-	}
-
-	eng, err := engineByName(*engine, *workers)
-	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer eng.Close()
 
 	n, err := net.New(specs, eng)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("network (%d layers, engine %s/%d workers):\n%s",
+	fmt.Fprintf(w, "network (%d layers, engine %s/%d workers):\n%s",
 		len(specs), eng.Name(), eng.Workers(), n)
 
-	cfg := zoo.LeNetSolver()
-	if dataset == "cifar" {
-		cfg = zoo.CIFARFullSolver()
-	}
-	if *solverP != "" {
-		raw, rerr := os.ReadFile(*solverP)
-		if rerr != nil {
-			fatal(rerr)
+	cfg := m.Solver
+	if o.SolverPath != "" {
+		raw, err := os.ReadFile(o.SolverPath)
+		if err != nil {
+			return err
 		}
 		if cfg, err = prototxt.ParseSolver(string(raw)); err != nil {
-			fatal(err)
+			return err
 		}
 	}
 	s, err := solver.New(cfg, n)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	inj := faultinject.New(*injectSeed)
-	if *resume != "" {
-		st, err := os.Stat(*resume)
+	inj := faultinject.New(o.InjectSeed)
+	if o.Resume != "" {
+		st, err := os.Stat(o.Resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		if st.IsDir() {
-			if *injectCorrupt {
-				cks, err := snapshot.Checkpoints(*resume)
+			if o.InjectCorruptResume {
+				cks, err := snapshot.Checkpoints(o.Resume)
 				if err != nil || len(cks) == 0 {
-					fatal(fmt.Errorf("inject-corrupt-resume: no checkpoints in %s", *resume))
+					return fmt.Errorf("inject-corrupt-resume: no checkpoints in %s", o.Resume)
 				}
 				newest := cks[len(cks)-1]
 				off, err := inj.CorruptFile(newest)
 				if err != nil {
-					fatal(err)
+					return err
 				}
-				fmt.Printf("fault injected: flipped byte %d of %s\n", off, newest)
+				fmt.Fprintf(w, "fault injected: flipped byte %d of %s\n", off, newest)
 			}
-			path, skipped, err := snapshot.LoadLatestValid(*resume, s)
+			path, skipped, err := snapshot.LoadLatestValid(o.Resume, s)
 			for _, sk := range skipped {
-				fmt.Printf("checkpoint %s invalid, falling back\n", sk)
+				fmt.Fprintf(w, "checkpoint %s invalid, falling back\n", sk)
 			}
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("resumed from %s at iteration %d\n", path, s.Iter())
+			fmt.Fprintf(w, "resumed from %s at iteration %d\n", path, s.Iter())
 		} else {
-			if err := snapshot.LoadSolverFile(*resume, s); err != nil {
-				fatal(err)
+			if err := snapshot.LoadSolverFile(o.Resume, s); err != nil {
+				return err
 			}
-			fmt.Printf("resumed from %s at iteration %d\n", *resume, s.Iter())
+			fmt.Fprintf(w, "resumed from %s at iteration %d\n", o.Resume, s.Iter())
 		}
 	}
 
 	var tr *trace.Tracer
-	if *tracePth != "" {
+	if o.TracePath != "" {
 		tr = trace.New(eng.Workers())
 		s.SetTracer(tr)
 	}
@@ -201,24 +202,24 @@ func main() {
 	// hook (poison first, so the guard sees the damaged gradient).
 	var mon *guard.Monitor
 	var hook solver.PreUpdateHook
-	if *guardPol != "off" {
-		pol, err := guard.ParsePolicy(*guardPol)
+	if o.GuardPolicy != "off" {
+		pol, err := guard.ParsePolicy(o.GuardPolicy)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		mon, err = guard.New(guard.Config{
 			Policy:      pol,
-			MaxGradNorm: *guardNorm,
-			LRBackoff:   float32(*guardBackoff),
-			CheckEvery:  *guardEvery,
-		}, s, par.NewPool(*workers))
+			MaxGradNorm: o.GuardMaxNorm,
+			LRBackoff:   float32(o.GuardLRBackoff),
+			CheckEvery:  o.GuardEvery,
+		}, s, par.NewPool(o.Workers))
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		defer mon.Close()
 		mon.SetTracer(tr)
-		if *snapDir != "" {
-			dir := *snapDir
+		if o.SnapDir != "" {
+			dir := o.SnapDir
 			mon.SetRestore(func(sv *solver.Solver) (string, error) {
 				path, _, err := snapshot.LoadLatestValid(dir, sv)
 				return path, err
@@ -226,44 +227,40 @@ func main() {
 		}
 		hook = mon.Check
 	}
-	if *injectNaN >= 0 {
-		poison, err := inj.GradPoisoner(n, *injectNaN)
+	if o.InjectGradNaN >= 0 {
+		poison, err := inj.GradPoisoner(n, o.InjectGradNaN)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("fault armed: gradient NaN at iteration %d\n", *injectNaN)
+		fmt.Fprintf(w, "fault armed: gradient NaN at iteration %d\n", o.InjectGradNaN)
 		hook = poison.Hook(hook)
 	}
 	if hook != nil {
 		s.SetPreUpdate(hook)
 	}
 
-	// SIGINT requests a graceful stop: finish the current chunk, write a
-	// checkpoint, exit cleanly.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt)
-
-	checkpoint := func() {
-		if *snapDir == "" {
-			return
+	checkpoint := func() error {
+		if o.SnapDir == "" {
+			return nil
 		}
-		path, err := snapshot.SaveCheckpoint(*snapDir, s, *snapKeep)
+		path, err := snapshot.SaveCheckpoint(o.SnapDir, s, o.SnapKeep)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		fmt.Printf("checkpoint written to %s (iteration %d)\n", path, s.Iter())
+		fmt.Fprintf(w, "checkpoint written to %s (iteration %d)\n", path, s.Iter())
+		return nil
 	}
 
-	fmt.Printf("training %d iterations (%s, base_lr %g)\n", *iters, cfg.Type, cfg.BaseLR)
+	fmt.Fprintf(w, "training %d iterations (%s, base_lr %g)\n", o.Iters, cfg.Type, cfg.BaseLR)
 	interrupted := false
-	remaining := *iters
+	remaining := o.Iters
 	for remaining > 0 && !interrupted {
-		step := *display
+		step := o.Display
 		if step > remaining {
 			step = remaining
 		}
-		if *snapEvery > 0 {
-			if toNext := *snapEvery - s.Iter()%*snapEvery; toNext < step {
+		if o.SnapEvery > 0 {
+			if toNext := o.SnapEvery - s.Iter()%o.SnapEvery; toNext < step {
 				step = toNext
 			}
 		}
@@ -273,62 +270,47 @@ func main() {
 		if acc, err := n.Output("accuracy"); err == nil {
 			line += fmt.Sprintf("  batch-accuracy %.3f", acc)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(w, line)
 		if mon != nil && mon.Err() != nil {
 			break
 		}
-		if *snapEvery > 0 && s.Iter()%*snapEvery == 0 {
-			checkpoint()
+		if o.SnapEvery > 0 && s.Iter()%o.SnapEvery == 0 {
+			if err := checkpoint(); err != nil {
+				return err
+			}
 		}
 		select {
-		case <-sigc:
-			fmt.Println("interrupt: checkpointing before exit")
+		case <-interrupt:
+			fmt.Fprintln(w, "interrupt: checkpointing before exit")
 			interrupted = true
 		default:
 		}
 	}
 	if interrupted {
-		checkpoint()
+		if err := checkpoint(); err != nil {
+			return err
+		}
 	}
 	if mon != nil {
 		st := mon.Stats()
-		fmt.Printf("guard: %d checks, %d faults (%d skipped, %d rollbacks, %d halts)\n",
+		fmt.Fprintf(w, "guard: %d checks, %d faults (%d skipped, %d rollbacks, %d halts)\n",
 			st.Checks, st.Faults, st.Skips, st.Rollbacks, st.Halts)
 	}
-	if *snapPath != "" {
-		if err := snapshot.SaveSolverFile(*snapPath, s); err != nil {
-			fatal(err)
+	if o.Snapshot != "" {
+		if err := snapshot.SaveSolverFile(o.Snapshot, s); err != nil {
+			return err
 		}
-		fmt.Printf("snapshot written to %s (iteration %d)\n", *snapPath, s.Iter())
+		fmt.Fprintf(w, "snapshot written to %s (iteration %d)\n", o.Snapshot, s.Iter())
 	}
 	if tr.Enabled() {
-		if err := tr.WriteChromeTraceFile(*tracePth); err != nil {
-			fatal(err)
+		if err := tr.WriteChromeTraceFile(o.TracePath); err != nil {
+			return err
 		}
-		fmt.Printf("trace: %d spans (%d dropped) written to %s — open in chrome://tracing or https://ui.perfetto.dev\n",
-			tr.Len(), tr.Dropped(), *tracePth)
+		fmt.Fprintf(w, "trace: %d spans (%d dropped) written to %s — open in chrome://tracing or https://ui.perfetto.dev\n",
+			tr.Len(), tr.Dropped(), o.TracePath)
 	}
-	if mon != nil && mon.Err() != nil {
-		fatal(mon.Err())
+	if mon != nil {
+		return mon.Err()
 	}
-}
-
-func engineByName(name string, workers int) (core.Engine, error) {
-	switch name {
-	case "sequential", "seq":
-		return core.NewSequential(), nil
-	case "coarse":
-		return core.NewCoarse(workers), nil
-	case "fine":
-		return core.NewFine(workers), nil
-	case "tuned":
-		return core.NewTuned(workers), nil
-	default:
-		return nil, fmt.Errorf("unknown engine %q (sequential|coarse|fine|tuned)", name)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "dnntrain:", err)
-	os.Exit(1)
+	return nil
 }

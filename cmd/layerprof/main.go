@@ -7,9 +7,9 @@
 // It prints mean per-layer forward/backward times and each layer's share
 // of the iteration, plus the engine's privatization footprint.
 //
-// With -trace out.json the iterations are also recorded by the span
-// tracer: the per-layer table is then derived from the trace's driver
-// spans (same format), a worker-utilization/imbalance report is appended,
+// The per-layer table always comes from a profile.Recorder attached to
+// the net. With -trace out.json the timed iterations are also recorded
+// by the span tracer: a worker-utilization/imbalance report is appended
 // and the full span set is written as Chrome trace-event JSON (see
 // OBSERVABILITY.md).
 package main
@@ -19,14 +19,10 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
-	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
-	"coarsegrain/internal/prototxt"
 	"coarsegrain/internal/trace"
 	"coarsegrain/internal/zoo"
 )
@@ -69,46 +65,18 @@ func main() {
 
 // run performs the profile and writes the report to w.
 func run(o options, w io.Writer) error {
-	ref := o.Zoo + o.Model
-	var src layers.Source
-	if strings.Contains(ref, "cifar") {
-		src, _ = data.LoadCIFAR10(o.DataDir, o.Samples, o.Seed)
-	} else {
-		src, _ = data.LoadMNIST(o.DataDir, o.Samples, o.Seed)
-	}
-
-	var specs []net.LayerSpec
-	var err error
-	switch {
-	case o.Zoo != "":
-		specs, err = zoo.Build(o.Zoo, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed})
-	case o.Model != "":
-		raw, rerr := os.ReadFile(o.Model)
-		if rerr != nil {
-			return rerr
-		}
-		specs, err = prototxt.ParseNet(string(raw), prototxt.BuildOptions{
-			Source: src, Seed: o.Seed, BatchOverride: o.Batch,
-		})
-	default:
-		return fmt.Errorf("need -model or -zoo")
-	}
+	m, err := zoo.Resolve(o.Zoo, o.Model, "")
 	if err != nil {
 		return err
 	}
-
-	var eng core.Engine
-	switch o.Engine {
-	case "sequential", "seq":
-		eng = core.NewSequential()
-	case "coarse":
-		eng = core.NewCoarse(o.Workers)
-	case "fine":
-		eng = core.NewFine(o.Workers)
-	case "tuned":
-		eng = core.NewTuned(o.Workers)
-	default:
-		return fmt.Errorf("unknown engine %q", o.Engine)
+	src, _ := m.Source(o.DataDir, o.Samples, o.Seed)
+	specs, err := m.Build(src, o.Batch, o.Seed, false)
+	if err != nil {
+		return err
+	}
+	eng, err := core.ByName(o.Engine, o.Workers)
+	if err != nil {
+		return err
 	}
 	defer eng.Close()
 
@@ -134,7 +102,7 @@ func run(o options, w io.Writer) error {
 
 	fmt.Fprintf(w, "engine %s, %d workers, %d timed iterations\n\n", eng.Name(), eng.Workers(), o.Iters)
 	fmt.Fprint(w, rec.Table())
-	fmt.Fprintf(w, "\ndominating layers (80%% of time): %v\n", dominators(rec))
+	fmt.Fprintf(w, "\ndominating layers (80%% of time): %v\n", rec.DominatingLayers(0.8))
 	fmt.Fprintf(w, "network memory: %.1f MB, privatization scratch: %.1f KB\n",
 		float64(n.MemoryBytes())/(1<<20), float64(eng.ScratchBytes())/1024)
 
@@ -148,19 +116,4 @@ func run(o options, w io.Writer) error {
 		fmt.Fprintf(w, "trace written to %s — open in chrome://tracing or https://ui.perfetto.dev\n", o.TracePath)
 	}
 	return nil
-}
-
-func dominators(rec *profile.Recorder) []string {
-	names := rec.SortedLayersByCost()
-	total := float64(rec.TotalMean())
-	var out []string
-	var acc float64
-	for _, nm := range names {
-		out = append(out, nm)
-		acc += float64(rec.Mean(nm, profile.Forward) + rec.Mean(nm, profile.Backward))
-		if acc/total >= 0.8 {
-			break
-		}
-	}
-	return out
 }

@@ -20,7 +20,6 @@ import (
 	"time"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/data"
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/profile"
@@ -59,20 +58,16 @@ type Options struct {
 }
 
 func (o *Options) normalize() error {
-	switch o.Net {
-	case "", "mnist", "lenet":
+	if o.Net == "" {
 		o.Net = "mnist"
-	case "cifar", "cifar10", "cifar10-full":
-		o.Net = "cifar"
-	default:
-		return fmt.Errorf("bench: unknown net %q", o.Net)
 	}
+	m, err := zoo.Resolve(o.Net, "", "")
+	if err != nil {
+		return fmt.Errorf("bench: %w", err)
+	}
+	o.Net = m.Dataset
 	if o.Batch == 0 {
-		if o.Net == "mnist" {
-			o.Batch = 64
-		} else {
-			o.Batch = 100
-		}
+		o.Batch = m.Batch
 	}
 	if o.Samples == 0 {
 		o.Samples = 4 * o.Batch
@@ -93,17 +88,6 @@ func (o *Options) normalize() error {
 	return nil
 }
 
-// sourceFor returns the benchmark's data source (real files when present,
-// synthetic otherwise).
-func sourceFor(o Options) layers.Source {
-	if o.Net == "mnist" {
-		src, _ := data.LoadMNIST(o.DataDir, o.Samples, o.Seed)
-		return src
-	}
-	src, _ := data.LoadCIFAR10(o.DataDir, o.Samples, o.Seed)
-	return src
-}
-
 // buildNet constructs the selected benchmark network with a fresh source.
 // The paper-figure harness (Figures 4-9 and the trace capture) measures
 // the direct convolution of Algorithm 2, the kernel whose per-layer
@@ -112,12 +96,17 @@ func buildNet(o Options, eng core.Engine) (*net.Net, error) {
 	return buildNetVariant(o, eng, true)
 }
 
-// solverFor returns the Caffe solver configuration of the benchmark.
-func solverFor(o Options) solver.Config {
-	if o.Net == "mnist" {
-		return zoo.LeNetSolver()
+// newSolver builds the benchmark network under eng with its Caffe solver.
+func newSolver(o Options, eng core.Engine) (*solver.Solver, error) {
+	m, err := zoo.Resolve(o.Net, "", "")
+	if err != nil {
+		return nil, err
 	}
-	return zoo.CIFARFullSolver()
+	n, err := buildNet(o, eng)
+	if err != nil {
+		return nil, err
+	}
+	return solver.New(m.Solver, n)
 }
 
 // MeasureSerial runs the network under the sequential engine and returns

@@ -67,7 +67,7 @@ func TestConvAndPoolDominate(t *testing.T) {
 	if frac := convPool / total; frac < 0.6 {
 		t.Fatalf("conv+pool account for only %.0f%% of iteration time", frac*100)
 	}
-	dom := DominatingLayers(rec, 0.6)
+	dom := rec.DominatingLayers(0.6)
 	if len(dom) == 0 || len(dom) > 5 {
 		t.Fatalf("dominating layers: %v", dom)
 	}

@@ -104,13 +104,18 @@ func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
 		meters[i] = transport.NewMeter(l)
 		trs[i] = meters[i]
 	}
+	m, err := zoo.Resolve(o.Net, "", "")
+	if err != nil {
+		return row, err
+	}
 	nets := make([]*net.Net, replicas)
 	for r := 0; r < replicas; r++ {
-		shard, err := data.NewShard(sourceFor(o), r, replicas, o.Batch)
+		src, _ := m.Source(o.DataDir, o.Samples, o.Seed)
+		shard, err := data.NewShard(src, r, replicas, o.Batch)
 		if err != nil {
 			return row, err
 		}
-		specs, err := zoo.Build(o.Net, shard, zoo.Options{BatchSize: shard.LocalBatch(), Seed: o.Seed})
+		specs, err := m.Build(shard, shard.LocalBatch(), o.Seed, false)
 		if err != nil {
 			return row, err
 		}
@@ -135,7 +140,7 @@ func commRun(o Options, replicas int, topo, wire string) (CommRow, error) {
 			var nd *dist.Node
 			var err error
 			if r == 0 {
-				nd, err = dist.NewRoot(trs[r], nets[r], solverFor(o), opts)
+				nd, err = dist.NewRoot(trs[r], nets[r], m.Solver, opts)
 			} else {
 				nd, err = dist.NewWorker(trs[r], nets[r], opts)
 			}

@@ -95,7 +95,11 @@ func EngineComparison(o Options) (*EngineComparisonResult, error) {
 
 // buildNetVariant is buildNet with control over the conv implementation.
 func buildNetVariant(o Options, eng core.Engine, direct bool) (*net.Net, error) {
-	src := sourceFor(o)
+	m, err := zoo.Resolve(o.Net, "", "")
+	if err != nil {
+		return nil, err
+	}
+	src, _ := m.Source(o.DataDir, o.Samples, o.Seed)
 	specs, err := zoo.Build(o.Net, src, zoo.Options{BatchSize: o.Batch, Seed: o.Seed, DirectConv: direct})
 	if err != nil {
 		return nil, err

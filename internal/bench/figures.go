@@ -4,12 +4,9 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/profile"
 	"coarsegrain/internal/simtime"
-	"coarsegrain/internal/solver"
 )
 
 // PerLayerResult reproduces Figures 4 (MNIST) / 7 (CIFAR-10): absolute
@@ -382,11 +379,7 @@ func Convergence(o Options, iters int) (*ConvergenceResult, error) {
 		iters = 20
 	}
 	train := func(eng core.Engine) ([]float64, error) {
-		n, err := buildNet(o, eng)
-		if err != nil {
-			return nil, err
-		}
-		s, err := solver.New(solverFor(o), n)
+		s, err := newSolver(o, eng)
 		if err != nil {
 			return nil, err
 		}
@@ -512,23 +505,4 @@ func Ablation(o Options) (*AblationResult, error) {
 		res.UncoalescedSpeedup[t] = o.Machine.Speedup(unco, t)
 	}
 	return res, nil
-}
-
-// DominatingLayers returns the layers accounting for at least frac of the
-// serial iteration time, most expensive first — used to verify the paper's
-// "conv+pool account for ~80%" observation.
-func DominatingLayers(rec *profile.Recorder, frac float64) []string {
-	names := rec.SortedLayersByCost()
-	total := float64(rec.TotalMean())
-	var out []string
-	var acc float64
-	for _, n := range names {
-		out = append(out, n)
-		acc += float64(rec.Mean(n, profile.Forward) + rec.Mean(n, profile.Backward))
-		if acc/total >= frac {
-			break
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"coarsegrain/internal/core"
-	"coarsegrain/internal/solver"
 	"coarsegrain/internal/trace"
 )
 
@@ -53,11 +52,7 @@ func TraceCapture(o Options, path string) (*TraceCaptureResult, error) {
 	workers := maxInt(o.Threads)
 	eng := core.NewCoarse(workers)
 	defer eng.Close()
-	n, err := buildNet(o, eng)
-	if err != nil {
-		return nil, err
-	}
-	s, err := solver.New(solverFor(o), n)
+	s, err := newSolver(o, eng)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"coarsegrain/internal/blob"
@@ -63,6 +64,37 @@ func TestEngineNames(t *testing.T) {
 			t.Fatalf("engine %T: name %q workers %d", tc.e, tc.e.Name(), tc.e.Workers())
 		}
 		tc.e.Close()
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name, want string
+		w          int
+	}{
+		{"sequential", "sequential", 1},
+		{"seq", "sequential", 1},
+		{"coarse", "coarse", 3},
+		{"fine", "fine", 3},
+		{"tuned", "tuned", 3},
+	} {
+		e, err := ByName(tc.name, 3)
+		if err != nil {
+			t.Fatalf("ByName(%q): %v", tc.name, err)
+		}
+		if e.Name() != tc.want || e.Workers() != tc.w {
+			t.Errorf("ByName(%q) = %s/%d workers, want %s/%d", tc.name, e.Name(), e.Workers(), tc.want, tc.w)
+		}
+		e.Close()
+	}
+	e, err := ByName("warp", 3)
+	if err == nil || e != nil {
+		t.Fatalf("ByName(warp) = %v, %v; want nil engine and an error", e, err)
+	}
+	for _, valid := range []string{"sequential", "seq", "coarse", "fine", "tuned"} {
+		if !strings.Contains(err.Error(), valid) {
+			t.Errorf("error %q does not list %q", err, valid)
+		}
 	}
 }
 

@@ -157,3 +157,24 @@ func (r *Recorder) SortedLayersByCost() []string {
 	})
 	return out
 }
+
+// DominatingLayers returns the most expensive layers, most expensive
+// first, up to the first at which their summed mean cost reaches frac of
+// TotalMean — the paper's observation that conv+pool account for ~80% of
+// the time. A recorder with no recorded time has no dominating layers.
+func (r *Recorder) DominatingLayers(frac float64) []string {
+	total := float64(r.TotalMean())
+	if total == 0 {
+		return nil
+	}
+	var out []string
+	var acc float64
+	for _, l := range r.SortedLayersByCost() {
+		out = append(out, l)
+		acc += float64(r.Mean(l, Forward) + r.Mean(l, Backward))
+		if acc/total >= frac {
+			break
+		}
+	}
+	return out
+}

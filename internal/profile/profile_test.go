@@ -128,3 +128,31 @@ func TestPhaseString(t *testing.T) {
 		t.Fatal("phase strings wrong")
 	}
 }
+
+// TestDominatingLayers pins cost order (not name order), the inclusive
+// frac boundary and the empty result for a recorder with no time.
+func TestDominatingLayers(t *testing.T) {
+	r := NewRecorder()
+	r.Add("a-cheap", Forward, 20*time.Microsecond)
+	r.Add("z-costly", Forward, 30*time.Microsecond)
+	r.Add("z-costly", Backward, 20*time.Microsecond)
+	r.Add("m-mid", Backward, 30*time.Microsecond)
+	for _, c := range []struct {
+		frac float64
+		want string
+	}{
+		{0.5, "[z-costly]"},
+		{0.8, "[z-costly m-mid]"}, // 50+30 of 100 reaches 0.8 exactly
+		{0.81, "[z-costly m-mid a-cheap]"},
+		{1, "[z-costly m-mid a-cheap]"},
+	} {
+		if got := fmt.Sprint(r.DominatingLayers(c.frac)); got != c.want {
+			t.Errorf("DominatingLayers(%v) = %s, want %s", c.frac, got, c.want)
+		}
+	}
+	empty := NewRecorder()
+	empty.Add("idle", Forward, 0)
+	if got := empty.DominatingLayers(0.8); got != nil {
+		t.Fatalf("zero total: got %v, want nil", got)
+	}
+}

@@ -1,12 +1,12 @@
 // Package zoo builds the two benchmark networks of the paper's evaluation
 // exactly as shipped with Caffe: the LeNet MNIST classifier (9 layers,
 // Figure 3 top) and the CIFAR-10-full CNN (14 layers, Figure 3 bottom),
-// plus their Caffe solver configurations.
+// plus their Caffe solver configurations. Resolve is the one place a
+// network name or prototxt path becomes its dataset, batch, solver and
+// builder; adding a network means adding it to the tables in model.go.
 package zoo
 
 import (
-	"fmt"
-
 	"coarsegrain/internal/layers"
 	"coarsegrain/internal/net"
 	"coarsegrain/internal/rng"
@@ -200,17 +200,5 @@ func CIFARFullSolver() solver.Config {
 	return solver.Config{
 		Type: solver.SGD, BaseLR: 0.001, Momentum: 0.9, WeightDecay: 0.004,
 		LRPolicy: "fixed",
-	}
-}
-
-// Build is a convenience that constructs one of the named zoo networks.
-func Build(name string, src layers.Source, opt Options) ([]net.LayerSpec, error) {
-	switch name {
-	case "lenet", "mnist":
-		return LeNet(src, opt)
-	case "cifar", "cifar10", "cifar10-full":
-		return CIFARFull(src, opt)
-	default:
-		return nil, fmt.Errorf("zoo: unknown network %q (have lenet, cifar10-full)", name)
 	}
 }

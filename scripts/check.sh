@@ -17,6 +17,7 @@
 # fault-injection suite, a seeded corrupt-checkpoint recovery smoke and a
 # guard NaN-poison smoke, a serving smoke (SERVING.md): dnnserve on a
 # random port answering a dnnload probe and draining cleanly on SIGTERM,
+# an eval smoke: dnneval scoring the snapshot the serving smoke served,
 # and a distributed smoke (DISTRIBUTED.md): a coordinator + 2 workers
 # over loopback TCP whose final snapshot must be bit-identical to the
 # single-process run with ring-topology and compressed-wire CRC pins,
@@ -138,6 +139,12 @@ kill -TERM "$serve_pid"
 wait "$serve_pid" || { echo "FAIL: dnnserve did not exit cleanly on SIGTERM" >&2; cat "$tmpdir/serve.log" >&2; exit 1; }
 grep -q "draining" "$tmpdir/serve.log" || { echo "FAIL: SIGTERM drain message missing" >&2; exit 1; }
 echo "probe answered and SIGTERM drained, as required"
+
+echo "== eval smoke: dnneval scores the served snapshot =="
+go build -o "$tmpdir/dnneval" ./cmd/dnneval
+"$tmpdir/dnneval" -zoo lenet -snapshot "$tmpdir/lenet.cgdnn" -batches 2 | grep -q "mean accuracy" ||
+	{ echo "FAIL: dnneval printed no mean accuracy for the served snapshot" >&2; exit 1; }
+echo "served snapshot evaluated, as required"
 
 echo "== distributed smoke: 3-rank TCP run bit-identical to in-process run =="
 # Coordinator + 2 workers over loopback TCP must write the exact bytes
